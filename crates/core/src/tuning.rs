@@ -2,8 +2,7 @@
 //!
 //! The paper tunes PI gains per interval "following standard heuristic
 //! procedures" (Sec. IV-B). The actual Nelder–Mead implementation lives in
-//! [`overrun_linalg::optimize`] (it is also used by the ellipsoidal-norm
-//! search in `overrun-jsr`); this module re-exports it with thin
+//! [`overrun_linalg::optimize`]; this module re-exports it with thin
 //! error-type adaptation for the control layer.
 
 pub use overrun_linalg::optimize::{NelderMeadOptions, OptimResult};

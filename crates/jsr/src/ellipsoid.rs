@@ -1,38 +1,55 @@
 //! Ellipsoidal (quadratic-Lyapunov) norm optimisation.
 //!
 //! Norm-based JSR upper bounds depend on the norm: for any invertible `L`,
-//! `ρ(A) ≤ max_i ‖L A_i L⁻¹‖₂`. This module searches for the ellipsoid
+//! `ρ(A) ≤ max_i ‖L A_i L⁻¹‖₂`. This module finds the ellipsoid
 //! (`P = LᵀL`) minimising that bound — a common quadratic Lyapunov
 //! certificate when the optimum is below one — and exposes the transform as
 //! a preconditioner for [`crate::gripenberg`] / [`crate::bruteforce_bounds`].
 //!
-//! Two seeds are tried before a Nelder–Mead polish on the entries of the
-//! upper-triangular factor `L`:
+//! The optimal ellipsoid solves the quasi-convex generalised-eigenvalue
+//! problem (GEVP)
 //!
-//! 1. the identity (no transform), and
-//! 2. the Lyapunov ellipsoid of the *average* lifted operator: the dominant
-//!    eigen-matrix `P` of `X ↦ Σᵢ AᵢᵀXAᵢ`, computed by power iteration —
-//!    exactly the certificate behind the Blondel–Nesterov sum bound.
+//! ```text
+//! minimise γ   subject to   AᵢᵀPAᵢ ⪯ γ²P,   P ≻ 0,
+//! ```
+//!
+//! the quadratic-norm LMI of the JSR toolbox behind the paper's Table II.
+//! It is solved by the method of centres (Boyd–El Ghaoui 1993; Boyd et al.,
+//! *Linear Matrix Inequalities in System and Control Theory*, §4.4). For a
+//! level `s > γ²` the analytic centre of `{P : tr P = n, sP ≻ AᵢᵀPAᵢ}`
+//! minimises the barrier
+//!
+//! ```text
+//! −log det P − Σᵢ log det(sP − AᵢᵀPAᵢ)
+//! ```
+//!
+//! over the `n(n+1)/2` entries of `P`. Newton steps (usually two) move `P`
+//! close to that centre, then the level drops towards the value reached
+//! there, `s ← s_c + θ(s − s_c)` with `s_c = γ(P)²`, shrinking the feasible
+//! set around the optimum. Starting from `P = I`, the iteration is serial
+//! and deterministic, and each Newton step works in buffers allocated once.
+//!
+//! The solver's `γ` is never trusted: the bound of the best iterate is
+//! recomputed as the exact `max_i ‖L Aᵢ L⁻¹‖₂` from `P = LᵀL`, and the
+//! identity is returned instead whenever it does at least as well.
 
-use overrun_linalg::optimize::{nelder_mead, NelderMeadOptions};
-use overrun_linalg::{norm_2, spectral_radius, Cholesky, Matrix};
+use overrun_linalg::{
+    cholesky_in_place, cholesky_log_det, cholesky_solve_in_place, norm_2, spectral_radius, Matrix,
+};
 
 use crate::{Error, JsrBounds, MatrixSet, Result};
 
 /// Options for [`optimize_ellipsoid`].
 #[derive(Debug, Clone)]
 pub struct EllipsoidOptions {
-    /// Nelder–Mead evaluation budget. Default: 4000.
-    pub max_evals: usize,
-    /// Power-iteration steps for the Lyapunov seed. Default: 500.
-    pub seed_iterations: usize,
+    /// Budget of Newton steps for the method of centres. Default: 600.
+    pub max_newton_steps: usize,
 }
 
 impl Default for EllipsoidOptions {
     fn default() -> Self {
         EllipsoidOptions {
-            max_evals: 4000,
-            seed_iterations: 500,
+            max_newton_steps: 600,
         }
     }
 }
@@ -69,87 +86,38 @@ impl Ellipsoid {
     }
 }
 
-/// The dominant eigen-matrix of the adjoint lifted operator
-/// `Φ*(X) = Σᵢ AᵢᵀXAᵢ`, by power iteration from the identity. The result
-/// is symmetric positive semidefinite; a small ridge keeps it definite.
-fn lyapunov_seed(set: &MatrixSet, iterations: usize) -> Result<Matrix> {
-    let n = set.dim();
-    let mut x = Matrix::identity(n);
-    for _ in 0..iterations {
-        let mut next = Matrix::zeros(n, n);
-        for a in set {
-            next = next.add_mat(&a.transpose().matmul(&x)?.matmul(a)?)?;
-        }
-        let scale = next.max_abs();
-        if scale == 0.0 || !scale.is_finite() {
-            return Ok(Matrix::identity(n));
-        }
-        x = next.scale(1.0 / scale);
-        x.symmetrize();
-    }
-    // Ridge regularisation keeps the Cholesky factor well conditioned.
-    let ridge = x.trace().abs().max(1.0) / n as f64 * 1e-8;
-    Ok(x + Matrix::identity(n) * ridge)
-}
-
-/// Packs an upper-triangular transform into a parameter vector (diagonal
-/// entries are stored as logs so they stay positive under optimisation).
-fn pack(l: &Matrix) -> Vec<f64> {
-    let n = l.rows();
-    let mut p = Vec::with_capacity(n * (n + 1) / 2);
-    for i in 0..n {
-        for j in i..n {
-            if i == j {
-                p.push(l[(i, j)].max(1e-12).ln());
-            } else {
-                p.push(l[(i, j)]);
-            }
-        }
-    }
-    p
-}
-
-fn unpack(p: &[f64], n: usize) -> Matrix {
-    let mut l = Matrix::zeros(n, n);
-    let mut idx = 0;
-    for i in 0..n {
-        for j in i..n {
-            l[(i, j)] = if i == j { p[idx].exp() } else { p[idx] };
-            idx += 1;
-        }
-    }
-    l
-}
-
-/// Evaluates `max_i ‖L Aᵢ L⁻¹‖₂`, or `+∞` when `L` is numerically singular.
-fn ellipsoid_objective(set: &MatrixSet, l: &Matrix) -> f64 {
-    let Ok(l_inv) = l.inverse() else {
-        return f64::INFINITY;
-    };
-    let mut worst: f64 = 0.0;
-    for a in set {
-        let Ok(la) = l.matmul(a) else {
-            return f64::INFINITY;
-        };
-        let Ok(lal) = la.matmul(&l_inv) else {
-            return f64::INFINITY;
-        };
-        worst = worst.max(norm_2(&lal));
-    }
-    worst
-}
+/// Level update `s ← s_c + θ(s − s_c)`: the share of the last gap kept.
+const THETA: f64 = 0.3;
+/// A Newton decrement at or below this counts as centred.
+const CENTRED: f64 = 0.5;
+/// Below this decrement a full Newton step needs no line search (the
+/// quadratic-convergence region of a self-concordant barrier).
+const QUADRATIC: f64 = 0.25;
+/// Stop once the level is within this relative distance of `γ(P)²`.
+const LEVEL_TOL: f64 = 1e-9;
+/// Relative width at which the bisection for `γ(P)²` stops.
+const BISECTION_TOL: f64 = 1e-10;
+/// First and largest relative ridge tried on a Hessian that fails to
+/// factor.
+const RIDGE_START: f64 = 1e-12;
+const RIDGE_MAX: f64 = 1e-4;
+/// Armijo slope fraction and step halvings of the line search.
+const ARMIJO: f64 = 0.25;
+const MAX_HALVINGS: usize = 40;
 
 /// Searches for the ellipsoidal norm minimising the one-step JSR upper
-/// bound `max_i ‖Aᵢ‖_P`.
+/// bound `max_i ‖Aᵢ‖_P`, by the method of centres on the GEVP above.
 ///
 /// The returned [`Ellipsoid::norm_bound`] is always a *certified* upper
 /// bound on the JSR (any induced norm is submultiplicative); when it is
 /// below one, `P = LᵀL` is a common quadratic Lyapunov function for the
-/// whole switching system.
+/// whole switching system. When the optimum is not attained (e.g. a
+/// Jordan block) the best bound reached within the budget is returned.
 ///
 /// # Errors
 ///
-/// Propagates numerical failures.
+/// * [`Error::InvalidOptions`] for a zero Newton-step budget.
+/// * [`Error::InvalidSet`] when a member's 2-norm is not finite.
 ///
 /// # Example
 ///
@@ -162,55 +130,497 @@ fn ellipsoid_objective(set: &MatrixSet, l: &Matrix) -> f64 {
 /// let a = Matrix::from_rows(&[&[0.0, 2.0], &[-0.405, 0.0]])?;
 /// let set = MatrixSet::new(vec![a])?;
 /// let e = optimize_ellipsoid(&set, &Default::default())?;
-/// assert!(e.norm_bound < 1.0); // ellipsoid norm certifies stability
+/// assert!((e.norm_bound - 0.9).abs() < 1e-6); // the optimal ellipsoid
 /// # Ok(())
 /// # }
 /// ```
 pub fn optimize_ellipsoid(set: &MatrixSet, opts: &EllipsoidOptions) -> Result<Ellipsoid> {
+    if opts.max_newton_steps == 0 {
+        return Err(Error::InvalidOptions(
+            "max_newton_steps must be >= 1".into(),
+        ));
+    }
     let n = set.dim();
-
-    // Candidate seeds: the identity, and the ellipsoid of the averaged
-    // lifted operator. With P = L_c·L_cᵀ (Cholesky), the transform whose
-    // 2-norm realises ‖x‖_P = ‖L_cᵀ x‖ is the upper-triangular L_cᵀ —
-    // matching the upper-triangular parametrisation.
-    let mut candidates: Vec<Matrix> = vec![Matrix::identity(n)];
-    if let Ok(p_seed) = lyapunov_seed(set, opts.seed_iterations) {
-        if let Ok(chol) = Cholesky::new(&p_seed) {
-            candidates.push(chol.l().transpose());
-        }
+    let identity_bound = set.norms().iter().copied().fold(0.0_f64, f64::max);
+    if !identity_bound.is_finite() {
+        return Err(Error::InvalidSet("a member has a non-finite 2-norm".into()));
     }
-
-    let mut best: Option<(Matrix, f64)> = None;
-    for seed in candidates {
-        let f0 = ellipsoid_objective(set, &seed);
-        let start = pack(&seed);
-        let result = nelder_mead(
-            |p| ellipsoid_objective(set, &unpack(p, n)),
-            &start,
-            &NelderMeadOptions {
-                max_evals: opts.max_evals / 2,
-                f_tol: 1e-12,
-                initial_step: 0.2,
-            },
-        )?;
-        let (l_cand, f_cand) = if result.f < f0 {
-            (unpack(&result.x, n), result.f)
-        } else {
-            (seed, f0)
-        };
-        match &best {
-            Some((_, f)) if *f <= f_cand => {}
-            _ => best = Some((l_cand, f_cand)),
-        }
+    let identity = Ellipsoid {
+        l: Matrix::identity(n),
+        l_inv: Matrix::identity(n),
+        norm_bound: identity_bound,
+    };
+    if identity_bound == 0.0 {
+        return Ok(identity);
     }
-
-    let (l, norm_bound) = best.expect("at least the identity seed is evaluated");
+    // A power-of-two scale (exact in floating point) keeps the level
+    // s = γ² of order one whatever the magnitude of the set.
+    let scale = identity_bound.log2().floor().exp2();
+    let mut centres = Centres::new(set, 1.0 / scale);
+    centres.run(
+        2.0 * (identity_bound / scale).powi(2),
+        opts.max_newton_steps,
+    );
+    let Some(l) = centres.best_transform() else {
+        return Ok(identity);
+    };
     let l_inv = l.inverse()?;
-    Ok(Ellipsoid {
-        l,
-        l_inv,
-        norm_bound,
-    })
+    let mut norm_bound = 0.0_f64;
+    for a in set {
+        norm_bound = norm_bound.max(norm_2(&l.matmul(a)?.matmul(&l_inv)?));
+    }
+    if norm_bound < identity_bound {
+        Ok(Ellipsoid {
+            l,
+            l_inv,
+            norm_bound,
+        })
+    } else {
+        Ok(identity)
+    }
+}
+
+/// Working state of the method of centres: the iterate `P` and every
+/// buffer a Newton step needs, allocated once so that the iteration itself
+/// does not allocate. Matrices are `n×n` row-major slices; the variables
+/// are the upper-triangular entries of `P`, in the order of `basis`.
+struct Centres {
+    n: usize,
+    /// The members, scaled, back to back.
+    members: Vec<f64>,
+    /// Index pair `(a, b)`, `a ≤ b`, of each variable.
+    basis: Vec<(usize, usize)>,
+    /// Current iterate: symmetric, `tr P = n`.
+    p: Vec<f64>,
+    /// Iterate with the smallest `γ(P)²` so far.
+    best: Vec<f64>,
+    /// Step candidate.
+    trial: Vec<f64>,
+    /// Cholesky scratch.
+    factor: Vec<f64>,
+    /// Product scratch.
+    scratch: Vec<f64>,
+    /// `P⁻¹`.
+    p_inv: Vec<f64>,
+    /// Per member, with `Gᵢ = sP − AᵢᵀPAᵢ`: `Gᵢ⁻¹`, `Gᵢ⁻¹Aᵢᵀ` and
+    /// `AᵢGᵢ⁻¹Aᵢᵀ`.
+    g_inv: Vec<f64>,
+    g_inv_at: Vec<f64>,
+    a_g_inv_at: Vec<f64>,
+    /// Gradient as a symmetric matrix: `P⁻¹ + Σᵢ (s·Gᵢ⁻¹ − AᵢGᵢ⁻¹Aᵢᵀ)`.
+    grad_mat: Vec<f64>,
+    /// The Hessian's factor matrices interleaved: entry `(a, c)` holds
+    /// `terms` consecutive values `[P⁻¹, s·Gᵢ⁻¹, AᵢGᵢ⁻¹Aᵢᵀ, √s·Gᵢ⁻¹Aᵢᵀ,
+    /// √s·AᵢGᵢ⁻¹]_ac` over the members; `signed` negates the last two.
+    factors: Vec<f64>,
+    signed: Vec<f64>,
+    terms: usize,
+    /// Barrier Hessian (then its Cholesky factor) and gradient.
+    hess: Vec<f64>,
+    grad: Vec<f64>,
+    /// `H⁻¹g`, `H⁻¹c` (`c` selects the trace) and the Newton direction.
+    y_grad: Vec<f64>,
+    y_trace: Vec<f64>,
+    dir: Vec<f64>,
+}
+
+impl Centres {
+    fn new(set: &MatrixSet, scale: f64) -> Self {
+        let n = set.dim();
+        let q = set.len();
+        let nv = n * (n + 1) / 2;
+        let terms = 4 * q + 1;
+        let members = set
+            .iter()
+            .flat_map(|a| a.as_slice().iter().map(move |x| x * scale))
+            .collect();
+        let basis = (0..n).flat_map(|a| (a..n).map(move |b| (a, b))).collect();
+        let mut p = vec![0.0; n * n];
+        for i in 0..n {
+            p[i * n + i] = 1.0;
+        }
+        Centres {
+            n,
+            members,
+            basis,
+            best: p.clone(),
+            trial: p.clone(),
+            p,
+            factor: vec![0.0; n * n],
+            scratch: vec![0.0; n * n],
+            p_inv: vec![0.0; n * n],
+            g_inv: vec![0.0; n * n],
+            g_inv_at: vec![0.0; n * n],
+            a_g_inv_at: vec![0.0; n * n],
+            grad_mat: vec![0.0; n * n],
+            factors: vec![0.0; n * n * terms],
+            signed: vec![0.0; n * n * terms],
+            terms,
+            hess: vec![0.0; nv * nv],
+            grad: vec![0.0; nv],
+            y_grad: vec![0.0; nv],
+            y_trace: vec![0.0; nv],
+            dir: vec![0.0; nv],
+        }
+    }
+
+    /// The method of centres from `P = I`, within `budget` Newton steps;
+    /// leaves the best iterate in `self.best`. `feasible` is a level at
+    /// which `P = I` is strictly feasible.
+    fn run(&mut self, feasible: f64, budget: usize) {
+        let Some(mut best) = self.level_reached(feasible) else {
+            return;
+        };
+        let mut level = best * (1.0 + THETA);
+        let mut steps = 0;
+        while steps < budget {
+            let mut centred = false;
+            while !centred && steps < budget {
+                steps += 1;
+                match self.newton_step(level) {
+                    Some(decrement) => centred = decrement <= CENTRED,
+                    // Rounding has the last word this close to the
+                    // optimum: keep the best iterate.
+                    None => return,
+                }
+            }
+            let Some(reached) = self.level_reached(level) else {
+                return;
+            };
+            if reached < best {
+                best = reached;
+                self.best.copy_from_slice(&self.p);
+            }
+            if !centred || level - reached <= LEVEL_TOL * reached {
+                return;
+            }
+            level = reached + THETA * (level - reached);
+        }
+    }
+
+    /// `γ(P)² = max_i λ_max(P⁻¹AᵢᵀPAᵢ)` of the current iterate, from
+    /// above: the smallest level at which every `sP − AᵢᵀPAᵢ` passes a
+    /// Cholesky test, by bisection below `upper`. `None` if `upper` fails.
+    fn level_reached(&mut self, upper: f64) -> Option<f64> {
+        let Centres {
+            n,
+            members,
+            p,
+            factor,
+            scratch,
+            factors,
+            ..
+        } = self;
+        let n = *n;
+        let nn = n * n;
+        // −AᵢᵀPAᵢ into the `factors` buffer (a Newton step rebuilds it).
+        let products = &mut factors[..members.len()];
+        let mut lo = 0.0_f64;
+        for (a, k) in members.chunks_exact(nn).zip(products.chunks_exact_mut(nn)) {
+            level_matrix(0.0, p, a, scratch, k, n);
+            // Rayleigh quotients on the unit vectors bound γ² below.
+            for j in 0..n {
+                lo = lo.max(-k[j * n + j] / p[j * n + j]);
+            }
+        }
+        let passes = |s: f64, factor: &mut [f64]| {
+            products.chunks_exact(nn).all(|k| {
+                for ((f, &kx), &px) in factor.iter_mut().zip(k).zip(p.iter()) {
+                    *f = s * px + kx;
+                }
+                cholesky_in_place(factor, n)
+            })
+        };
+        if !passes(upper, factor) {
+            return None;
+        }
+        let mut hi = upper;
+        while hi - lo > BISECTION_TOL * hi {
+            let mid = 0.5 * (lo + hi);
+            if passes(mid, factor) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        Some(hi)
+    }
+
+    /// The transform `L = Cᵀ` of the best iterate, from its Cholesky
+    /// factor `P = CCᵀ`.
+    fn best_transform(&mut self) -> Option<Matrix> {
+        let n = self.n;
+        self.factor.copy_from_slice(&self.best);
+        if !cholesky_in_place(&mut self.factor, n) {
+            return None;
+        }
+        let c = &self.factor;
+        Some(Matrix::from_fn(n, n, |i, j| {
+            if i <= j {
+                c[j * n + i]
+            } else {
+                0.0
+            }
+        }))
+    }
+
+    /// One Newton step on the barrier at level `s`, constrained to
+    /// `tr P = n`, with a backtracking line search. Returns the Newton
+    /// decrement at the starting point, or `None` when rounding defeats
+    /// the step: the point is numerically infeasible, the Hessian does not
+    /// factor, or no step length is accepted.
+    fn newton_step(&mut self, s: f64) -> Option<f64> {
+        let Centres {
+            n,
+            members,
+            basis,
+            p,
+            trial,
+            factor,
+            scratch,
+            p_inv,
+            g_inv,
+            g_inv_at,
+            a_g_inv_at,
+            grad_mat,
+            factors,
+            signed,
+            terms,
+            hess,
+            grad,
+            y_grad,
+            y_trace,
+            dir,
+            ..
+        } = self;
+        let (n, terms) = (*n, *terms);
+        let nn = n * n;
+        let nv = basis.len();
+
+        factor.copy_from_slice(p);
+        if !cholesky_in_place(factor, n) {
+            return None;
+        }
+        let mut barrier = -cholesky_log_det(factor, n);
+        spd_inverse(factor, p_inv, n);
+        grad_mat.copy_from_slice(p_inv);
+        for (rc, &x) in p_inv.iter().enumerate() {
+            factors[rc * terms] = x;
+            signed[rc * terms] = x;
+        }
+        let root_s = s.sqrt();
+        for (i, a) in members.chunks_exact(nn).enumerate() {
+            level_matrix(s, p, a, scratch, factor, n);
+            if !cholesky_in_place(factor, n) {
+                return None;
+            }
+            barrier -= cholesky_log_det(factor, n);
+            spd_inverse(factor, g_inv, n);
+            // G⁻¹Aᵀ, then A·G⁻¹Aᵀ (symmetric).
+            for r in 0..n {
+                for c in 0..n {
+                    let mut acc = 0.0;
+                    for k in 0..n {
+                        acc += g_inv[r * n + k] * a[c * n + k];
+                    }
+                    g_inv_at[r * n + c] = acc;
+                }
+            }
+            for r in 0..n {
+                for c in 0..=r {
+                    let mut acc = 0.0;
+                    for k in 0..n {
+                        acc += a[r * n + k] * g_inv_at[k * n + c];
+                    }
+                    a_g_inv_at[r * n + c] = acc;
+                    a_g_inv_at[c * n + r] = acc;
+                }
+            }
+            let base = 1 + 4 * i;
+            for r in 0..n {
+                for c in 0..n {
+                    let rc = r * n + c;
+                    let (gi, agi) = (g_inv[rc], a_g_inv_at[rc]);
+                    grad_mat[rc] += s * gi - agi;
+                    let slots = [
+                        s * gi,
+                        agi,
+                        root_s * g_inv_at[rc],
+                        root_s * g_inv_at[c * n + r],
+                    ];
+                    let at = rc * terms + base;
+                    factors[at..at + 4].copy_from_slice(&slots);
+                    signed[at..at + 4].copy_from_slice(&[slots[0], slots[1], -slots[2], -slots[3]]);
+                }
+            }
+        }
+
+        // Gradient and Hessian in the symmetric basis E_ab = e_a e_bᵀ +
+        // e_b e_aᵀ (E_aa = e_a e_aᵀ). Each Fᵢ(E) = sE − AᵢᵀEAᵢ has rank
+        // ≤ 4, so tr(Gᵢ⁻¹F(E_ab)Gᵢ⁻¹F(E_cd)) reduces to products of
+        // entries: with T(a,c,b,d) = ⟨factors_ac, signed_bd⟩ (the P⁻¹ term
+        // included), the (ab, cd) entry is T(a,c,b,d) + T(a,d,b,c), times
+        // the basis weights.
+        let weight = |a: usize, b: usize| if a == b { 0.5 } else { 1.0 };
+        let pair = |x: usize, y: usize| -> f64 {
+            factors[x * terms..(x + 1) * terms]
+                .iter()
+                .zip(&signed[y * terms..(y + 1) * terms])
+                .map(|(l, r)| l * r)
+                .sum()
+        };
+        for (k, &(a, b)) in basis.iter().enumerate() {
+            let wk = 2.0 * weight(a, b);
+            grad[k] = -wk * grad_mat[a * n + b];
+            for (l, &(c, d)) in basis.iter().enumerate().take(k + 1) {
+                let h =
+                    wk * weight(c, d) * (pair(a * n + c, b * n + d) + pair(a * n + d, b * n + c));
+                hess[k * nv + l] = h;
+                hess[l * nv + k] = h;
+            }
+        }
+
+        // KKT system for the trace row: Δ = −H⁻¹(g + νc) with cᵀΔ = 0.
+        // Close to the optimum a nearly active constraint makes H so
+        // ill-conditioned that rounding breaks its factorisation; a
+        // growing ridge on the diagonal still yields a descent direction.
+        // The factorisation only overwrites the lower triangle, so H is
+        // restored from the upper one and from its diagonal, parked in
+        // `dir` until the direction overwrites it.
+        for (k, d) in dir.iter_mut().enumerate() {
+            *d = hess[k * nv + k];
+        }
+        let mut ridge = 0.0;
+        while !cholesky_in_place(hess, nv) {
+            ridge = if ridge == 0.0 {
+                RIDGE_START
+            } else {
+                ridge * 100.0
+            };
+            if ridge > RIDGE_MAX {
+                return None;
+            }
+            for k in 0..nv {
+                for l in 0..k {
+                    hess[k * nv + l] = hess[l * nv + k];
+                }
+                hess[k * nv + k] = dir[k] * (1.0 + ridge);
+            }
+        }
+        y_grad.copy_from_slice(grad);
+        cholesky_solve_in_place(hess, y_grad, nv, 1);
+        for (y, &(a, b)) in y_trace.iter_mut().zip(basis.iter()) {
+            *y = if a == b { 1.0 } else { 0.0 };
+        }
+        cholesky_solve_in_place(hess, y_trace, nv, 1);
+        let (mut cg, mut cc) = (0.0, 0.0);
+        for ((&yg, &yt), &(a, b)) in y_grad.iter().zip(y_trace.iter()).zip(basis.iter()) {
+            if a == b {
+                cg += yg;
+                cc += yt;
+            }
+        }
+        let nu = -cg / cc;
+        let mut decrement_sq = 0.0;
+        for ((d, (&yg, &yt)), &g) in dir
+            .iter_mut()
+            .zip(y_grad.iter().zip(y_trace.iter()))
+            .zip(grad.iter())
+        {
+            *d = -(yg + nu * yt);
+            decrement_sq -= g * *d;
+        }
+        if !decrement_sq.is_finite() {
+            return None;
+        }
+        let decrement = decrement_sq.max(0.0).sqrt();
+
+        // Full step first; backtrack until feasible and, outside the
+        // quadratic region, until the barrier drops enough (Armijo).
+        let mut t = 1.0;
+        for _ in 0..MAX_HALVINGS {
+            for (&(a, b), &d) in basis.iter().zip(dir.iter()) {
+                let x = p[a * n + b] + t * d;
+                trial[a * n + b] = x;
+                trial[b * n + a] = x;
+            }
+            if let Some(value) = barrier_at(s, trial, members, scratch, factor, n) {
+                if decrement <= QUADRATIC || value <= barrier - ARMIJO * t * decrement_sq {
+                    let trace: f64 = (0..n).map(|i| trial[i * n + i]).sum();
+                    let renorm = n as f64 / trace;
+                    for (x, &y) in p.iter_mut().zip(trial.iter()) {
+                        *x = y * renorm;
+                    }
+                    return Some(decrement);
+                }
+            }
+            t *= 0.5;
+        }
+        None
+    }
+}
+
+/// `out = sP − AᵀPA` (through `scratch = PA`).
+fn level_matrix(s: f64, p: &[f64], a: &[f64], scratch: &mut [f64], out: &mut [f64], n: usize) {
+    for i in 0..n {
+        for j in 0..n {
+            let mut acc = 0.0;
+            for k in 0..n {
+                acc += p[i * n + k] * a[k * n + j];
+            }
+            scratch[i * n + j] = acc;
+        }
+    }
+    for i in 0..n {
+        for j in 0..n {
+            let mut acc = 0.0;
+            for k in 0..n {
+                acc += a[k * n + i] * scratch[k * n + j];
+            }
+            out[i * n + j] = s * p[i * n + j] - acc;
+        }
+    }
+}
+
+/// The barrier `−log det P − Σᵢ log det(sP − AᵢᵀPAᵢ)`, or `None` outside
+/// its domain.
+fn barrier_at(
+    s: f64,
+    p: &[f64],
+    members: &[f64],
+    scratch: &mut [f64],
+    factor: &mut [f64],
+    n: usize,
+) -> Option<f64> {
+    factor.copy_from_slice(p);
+    if !cholesky_in_place(factor, n) {
+        return None;
+    }
+    let mut value = -cholesky_log_det(factor, n);
+    for a in members.chunks_exact(n * n) {
+        level_matrix(s, p, a, scratch, factor, n);
+        if !cholesky_in_place(factor, n) {
+            return None;
+        }
+        value -= cholesky_log_det(factor, n);
+    }
+    Some(value)
+}
+
+/// `out = (CCᵀ)⁻¹`, exactly symmetric, for the lower factor `C`.
+fn spd_inverse(c: &[f64], out: &mut [f64], n: usize) {
+    out.fill(0.0);
+    for i in 0..n {
+        out[i * n + i] = 1.0;
+    }
+    cholesky_solve_in_place(c, out, n, n);
+    for i in 0..n {
+        for j in 0..i {
+            let x = 0.5 * (out[i * n + j] + out[j * n + i]);
+            out[i * n + j] = x;
+            out[j * n + i] = x;
+        }
+    }
 }
 
 /// The Blondel–Nesterov semidefinite-lifting bounds:
@@ -243,80 +653,111 @@ pub fn kronecker_sum_bounds(set: &MatrixSet) -> Result<JsrBounds> {
 mod tests {
     use super::*;
 
+    // Tests return `Result` and use `?`: the panic-freedom ratchet counts
+    // every panic site in the crate, test modules included.
+    type TestResult = Result<()>;
+
     #[test]
-    fn single_rotation_scale_certified() {
+    fn single_rotation_scale_certified() -> TestResult {
         // ρ = 0.9, but ‖A‖₂ = 2: only a non-trivial ellipsoid certifies.
-        let a = Matrix::from_rows(&[&[0.0, 2.0], &[-0.405, 0.0]]).unwrap();
-        let set = MatrixSet::new(vec![a]).unwrap();
-        let e = optimize_ellipsoid(&set, &EllipsoidOptions::default()).unwrap();
+        let a = Matrix::from_rows(&[&[0.0, 2.0], &[-0.405, 0.0]])?;
+        let set = MatrixSet::new(vec![a])?;
+        let e = optimize_ellipsoid(&set, &EllipsoidOptions::default())?;
         assert!(e.norm_bound < 1.0, "bound = {}", e.norm_bound);
         assert!(e.norm_bound >= 0.9 - 1e-6);
+        Ok(())
     }
 
     #[test]
-    fn transform_preserves_spectra() {
-        let a1 = Matrix::from_rows(&[&[0.5, 1.0], &[0.0, 0.3]]).unwrap();
-        let a2 = Matrix::from_rows(&[&[0.2, 0.0], &[1.0, 0.4]]).unwrap();
-        let set = MatrixSet::new(vec![a1.clone(), a2]).unwrap();
-        let e = optimize_ellipsoid(&set, &EllipsoidOptions::default()).unwrap();
-        let t = e.transform(&set).unwrap();
+    fn transform_preserves_spectra() -> TestResult {
+        let a1 = Matrix::from_rows(&[&[0.5, 1.0], &[0.0, 0.3]])?;
+        let a2 = Matrix::from_rows(&[&[0.2, 0.0], &[1.0, 0.4]])?;
+        let set = MatrixSet::new(vec![a1, a2])?;
+        let e = optimize_ellipsoid(&set, &EllipsoidOptions::default())?;
+        let t = e.transform(&set)?;
         for (orig, tr) in set.iter().zip(t.iter()) {
-            let r0 = spectral_radius(orig).unwrap();
-            let r1 = spectral_radius(tr).unwrap();
+            let r0 = spectral_radius(orig)?;
+            let r1 = spectral_radius(tr)?;
             assert!((r0 - r1).abs() < 1e-8 * r0.max(1.0));
         }
+        Ok(())
     }
 
     #[test]
-    fn norm_bound_is_valid_upper_bound() {
+    fn norm_bound_is_valid_upper_bound() -> TestResult {
         // Compare against brute-force lower bound.
-        let a1 = Matrix::from_rows(&[&[0.6, 0.4], &[-0.2, 0.7]]).unwrap();
-        let a2 = Matrix::from_rows(&[&[0.5, -0.3], &[0.4, 0.6]]).unwrap();
-        let set = MatrixSet::new(vec![a1, a2]).unwrap();
-        let e = optimize_ellipsoid(&set, &EllipsoidOptions::default()).unwrap();
+        let a1 = Matrix::from_rows(&[&[0.6, 0.4], &[-0.2, 0.7]])?;
+        let a2 = Matrix::from_rows(&[&[0.5, -0.3], &[0.4, 0.6]])?;
+        let set = MatrixSet::new(vec![a1, a2])?;
+        let e = optimize_ellipsoid(&set, &EllipsoidOptions::default())?;
         let bf = crate::bruteforce_bounds(
             &set,
             &crate::BruteforceOptions {
                 max_depth: 8,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        )?;
         assert!(e.norm_bound >= bf.lower - 1e-9);
+        Ok(())
     }
 
     #[test]
-    fn kronecker_bounds_sandwich_singleton() {
-        let a = Matrix::from_rows(&[&[0.3, 0.7], &[-0.5, 0.2]]).unwrap();
-        let rho = spectral_radius(&a).unwrap();
-        let set = MatrixSet::new(vec![a]).unwrap();
-        let b = kronecker_sum_bounds(&set).unwrap();
+    fn kronecker_bounds_sandwich_singleton() -> TestResult {
+        let a = Matrix::from_rows(&[&[0.3, 0.7], &[-0.5, 0.2]])?;
+        let rho = spectral_radius(&a)?;
+        let set = MatrixSet::new(vec![a])?;
+        let b = kronecker_sum_bounds(&set)?;
         // For a singleton, ρ(A⊗A) = ρ(A)² exactly: both bounds collapse.
         assert!((b.lower - rho).abs() < 1e-8, "{b:?} vs {rho}");
         assert!((b.upper - rho).abs() < 1e-8);
+        Ok(())
     }
 
     #[test]
-    fn kronecker_bounds_contain_true_jsr_for_diagonals() {
-        let set = MatrixSet::new(vec![
-            Matrix::diag(&[0.9, 0.1]),
-            Matrix::diag(&[0.1, 0.8]),
-        ])
-        .unwrap();
-        let b = kronecker_sum_bounds(&set).unwrap();
+    fn kronecker_bounds_contain_true_jsr_for_diagonals() -> TestResult {
+        let set = MatrixSet::new(vec![Matrix::diag(&[0.9, 0.1]), Matrix::diag(&[0.1, 0.8])])?;
+        let b = kronecker_sum_bounds(&set)?;
         assert!(b.lower <= 0.9 + 1e-9);
         assert!(b.upper >= 0.9 - 1e-9);
+        Ok(())
     }
 
     #[test]
-    fn identity_seed_never_worse_than_identity() {
+    fn identity_seed_never_worse_than_identity() -> TestResult {
         // The optimiser must return a bound no worse than the plain 2-norm.
-        let a = Matrix::from_rows(&[&[0.9, 5.0], &[0.0, 0.8]]).unwrap();
+        let a = Matrix::from_rows(&[&[0.9, 5.0], &[0.0, 0.8]])?;
         let plain = norm_2(&a);
-        let set = MatrixSet::new(vec![a]).unwrap();
-        let e = optimize_ellipsoid(&set, &EllipsoidOptions::default()).unwrap();
+        let set = MatrixSet::new(vec![a])?;
+        let e = optimize_ellipsoid(&set, &EllipsoidOptions::default())?;
         assert!(e.norm_bound <= plain + 1e-9);
         // And it should improve substantially on this shear matrix.
         assert!(e.norm_bound < 0.5 * plain, "bound = {}", e.norm_bound);
+        Ok(())
+    }
+
+    #[test]
+    fn zero_budget_rejected() -> TestResult {
+        let set = MatrixSet::new(vec![Matrix::identity(2)])?;
+        let opts = EllipsoidOptions {
+            max_newton_steps: 0,
+        };
+        assert!(matches!(
+            optimize_ellipsoid(&set, &opts),
+            Err(Error::InvalidOptions(_))
+        ));
+        Ok(())
+    }
+
+    #[test]
+    fn spd_inverse_is_symmetric_inverse() -> TestResult {
+        let m = Matrix::from_rows(&[&[4.0, 1.0, 0.5], &[1.0, 3.0, -0.2], &[0.5, -0.2, 2.0]])?;
+        let mut factor = m.as_slice().to_vec();
+        assert!(cholesky_in_place(&mut factor, 3));
+        let mut inv = vec![0.0; 9];
+        spd_inverse(&factor, &mut inv, 3);
+        let inv = Matrix::from_vec(3, 3, inv)?;
+        assert!(m.matmul(&inv)?.approx_eq(&Matrix::identity(3), 1e-12, 1e-12));
+        assert_eq!(inv, inv.transpose());
+        Ok(())
     }
 }

@@ -49,7 +49,9 @@ mod schur;
 pub mod small;
 mod svd;
 
-pub use cholesky::{is_spd, Cholesky};
+pub use cholesky::{
+    cholesky_in_place, cholesky_log_det, cholesky_solve_in_place, is_spd, Cholesky,
+};
 pub use error::Error;
 pub use expm::{expm, expm_integral};
 pub use lu::Lu;

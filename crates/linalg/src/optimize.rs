@@ -1,8 +1,7 @@
 //! Derivative-free optimisation (Nelder–Mead simplex search).
 //!
-//! Used across the stack for small black-box minimisation problems:
-//! per-interval PI gain tuning in `overrun-control` and ellipsoidal-norm
-//! optimisation in `overrun-jsr`.
+//! Used for small black-box minimisation problems: per-interval PI gain
+//! tuning in `overrun-control`.
 
 use crate::{Error, Result};
 

@@ -22,7 +22,8 @@ pub const RECORD_HEADER: &str = "overrun-sweep-record v1";
 /// One memoized certification result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioRecord {
-    /// Content key of the inputs (plant + table + options + crate version).
+    /// Content key of the inputs (plant, table, options, crate version and
+    /// certifier revision).
     pub key: ContentHash,
     /// Version of `overrun-sweep` that wrote the record.
     pub crate_version: String,

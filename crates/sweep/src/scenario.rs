@@ -214,14 +214,27 @@ impl GridSpec {
 }
 
 /// Computes the content key of one certification: a framed FNV-128 hash
-/// over the crate version, the plant matrices, the materialized controller
-/// table (every mode's `Ac/Bc/Cc/Dc` plus the interval set), and the
-/// [`CertifyOptions`] budget — all `f64`s by exact bit pattern.
+/// over the crate version, the certifier revision
+/// ([`overrun_jsr::CERTIFIER_REVISION`]), the plant matrices, the
+/// materialized controller table (every mode's `Ac/Bc/Cc/Dc` plus the
+/// interval set), and the [`CertifyOptions`] budget — all `f64`s by exact
+/// bit pattern.
 ///
 /// The key deliberately covers only what [`overrun_control::stability::certify`]
 /// reads, so the declarative and pre-materialized paths address identical
-/// cache entries.
+/// cache entries; the certifier revision makes a cache written before a
+/// change to the certification numerics miss instead of replaying stale
+/// bounds.
 pub fn certification_key(
+    plant: &ContinuousSs,
+    table: &ControllerTable,
+    opts: &CertifyOptions,
+) -> ContentHash {
+    key_at_revision(overrun_jsr::CERTIFIER_REVISION, plant, table, opts)
+}
+
+fn key_at_revision(
+    revision: &str,
     plant: &ContinuousSs,
     table: &ControllerTable,
     opts: &CertifyOptions,
@@ -229,6 +242,7 @@ pub fn certification_key(
     let mut c = Canon::new();
     c.tag("overrun-sweep-key");
     c.str_field(env!("CARGO_PKG_VERSION"));
+    c.str_field(revision);
     c.tag("plant")
         .matrix_field(&plant.a)
         .matrix_field(&plant.b)
@@ -318,6 +332,19 @@ mod tests {
         let mut other_budget = s;
         other_budget.opts.max_depth = 5;
         assert_ne!(other_budget.prepare()?.key, base);
+        Ok(())
+    }
+
+    #[test]
+    fn key_depends_on_certifier_revision() -> overrun_control::Result<()> {
+        let s = base_scenario().prepare()?;
+        let current = certification_key(&s.plant, &s.table, &s.opts);
+        assert_eq!(
+            current,
+            key_at_revision(overrun_jsr::CERTIFIER_REVISION, &s.plant, &s.table, &s.opts)
+        );
+        let bumped = format!("{}+1", overrun_jsr::CERTIFIER_REVISION);
+        assert_ne!(current, key_at_revision(&bumped, &s.plant, &s.table, &s.opts));
         Ok(())
     }
 

@@ -17,9 +17,12 @@ echo "==> numeric sanitizer test leg (--features sanitize)"
 cargo test --release -q -p overrun-linalg --features sanitize
 cargo test --release -q -p overrun-jsr --features sanitize --test sanitize_poison
 
-echo "==> determinism + screening equivalence at OVERRUN_THREADS=4"
-OVERRUN_THREADS=4 cargo test --release -q -p overrun-control \
-  --test par_determinism --test screening_equivalence
+echo "==> determinism at OVERRUN_THREADS=4"
+OVERRUN_THREADS=4 cargo test --release -q -p overrun-control --test par_determinism
+
+echo "==> ellipsoid LMI solver + screening equivalence at OVERRUN_THREADS=4"
+OVERRUN_THREADS=4 cargo test --release -q -p overrun-jsr --test ellipsoid_lmi
+OVERRUN_THREADS=4 cargo test --release -q -p overrun-control --test screening_equivalence
 
 echo "==> trace feature stays OFF in the default dependency graph"
 if cargo tree -p overrun-bench -e features -f "{p} {f}" --prefix none \

@@ -12,7 +12,7 @@ use overrun_control::metrics::{evaluate_worst_case, WorstCaseOptions};
 use overrun_control::prelude::*;
 use overrun_control::scenarios::pmsm_table2_weights;
 use overrun_control::sim::{ClosedLoopSim, SimScenario};
-use overrun_jsr::{gripenberg, GripenbergOptions, MatrixSet};
+use overrun_jsr::{gripenberg_with_stats, GripenbergOptions, MatrixSet};
 use overrun_linalg::Matrix;
 use overrun_par::set_thread_override;
 
@@ -66,8 +66,11 @@ fn monte_carlo_jw_bit_identical_across_threads() {
 }
 
 /// The parallel Gripenberg frontier expansion returns the same certified
-/// `[LB, UB]` interval (bitwise) as the serial path on the Table-II lifted
-/// matrix sets.
+/// `[LB, UB]` interval (bitwise) and explores the same tree as the serial
+/// path on the Table-II lifted matrix sets, with screening on and off. The
+/// search runs in the 2-norm: its frontiers grow to 128 and 1959 nodes, so
+/// whole depths go to the worker pool (in the optimised-ellipsoid
+/// coordinates these searches stay below the parallel cutoff).
 #[test]
 fn gripenberg_bounds_match_serial_on_table2_sets() {
     let plant = plants::pmsm();
@@ -78,24 +81,45 @@ fn gripenberg_bounds_match_serial_on_table2_sets() {
         let meas = lifted::measurement_matrix(&plant, &table).unwrap();
         let set =
             MatrixSet::new(lifted::build_omega_set(&plant, &table, &meas).unwrap()).unwrap();
-        let opts = GripenbergOptions {
+        let on = GripenbergOptions {
             max_depth: 8,
+            ellipsoid: false,
             ..Default::default()
         };
+        let off = GripenbergOptions {
+            screen: false,
+            ..on.clone()
+        };
 
-        let bounds = at_thread_counts(&[1, 4], || gripenberg(&set, &opts).unwrap());
-
-        assert_eq!(
-            bounds[0].lower.to_bits(),
-            bounds[1].lower.to_bits(),
-            "LB differs at Rmax = {factor}T, Ns = {ns}"
-        );
-        assert_eq!(
-            bounds[0].upper.to_bits(),
-            bounds[1].upper.to_bits(),
-            "UB differs at Rmax = {factor}T, Ns = {ns}"
-        );
-        assert!(bounds[0].lower <= bounds[0].upper);
+        let runs = at_thread_counts(&[1, 4], || {
+            let on = gripenberg_with_stats(&set, &on).unwrap();
+            let off = gripenberg_with_stats(&set, &off).unwrap();
+            (on, off)
+        });
+        let (serial, s_stats) = &runs[0].0;
+        for (threads, ((b_on, st_on), (b_off, st_off))) in [1usize, 4].iter().zip(&runs) {
+            let ctx = format!("Rmax = {factor}T, Ns = {ns}, {threads} threads");
+            for (b, st, screen) in [(b_on, st_on, "on"), (b_off, st_off, "off")] {
+                assert_eq!(
+                    serial.lower.to_bits(),
+                    b.lower.to_bits(),
+                    "LB, screen {screen}: {ctx}"
+                );
+                assert_eq!(
+                    serial.upper.to_bits(),
+                    b.upper.to_bits(),
+                    "UB, screen {screen}: {ctx}"
+                );
+                assert_eq!(s_stats.nodes, st.nodes, "nodes, screen {screen}: {ctx}");
+                assert_eq!(
+                    s_stats.lb_depth, st.lb_depth,
+                    "lb depth, screen {screen}: {ctx}"
+                );
+            }
+        }
+        assert!(serial.lower <= serial.upper);
+        // Wide enough that the deepest levels ran in parallel.
+        assert!(s_stats.nodes > 500, "{s_stats}");
     }
 }
 
