@@ -10,11 +10,10 @@
 
 use overrun_bench::{metrics, run_header, RunArgs};
 use overrun_control::plants;
-use overrun_control::scenarios::{
-    format_table2, pmsm_table2_weights, table2_certifications, table2_with,
-};
+use overrun_control::scenarios::{format_table2, pmsm_table2_weights, table2_with, CertifyFn};
 use overrun_control::stability;
 use overrun_linalg::Matrix;
+use overrun_sweep::MemoCertifier;
 
 fn main() {
     let args = match RunArgs::parse(std::env::args().skip(1)) {
@@ -36,27 +35,20 @@ fn main() {
         args.sequences, args.jobs, args.seed, threads
     ));
     let started = std::time::Instant::now();
-    // With `--cache`, the batch engine certifies (or replays) every table
-    // up front; the driver then reads from its results, so the CSV is
-    // byte-identical to the direct path.
-    let session = match table2_certifications(&plant, t, &weights, &cfg)
-        .map_err(|e| e.to_string())
-        .and_then(|certs| args.sweep_session(&plant, certs))
-    {
-        Ok(s) => s,
-        Err(msg) => {
-            eprintln!("sweep failed: {msg}");
+    // With `--cache`, every certification goes through the memoising
+    // certifier; its answers are bit-identical, so the CSV is too.
+    let memo = match args.cache.as_deref().map(MemoCertifier::open).transpose() {
+        Ok(m) => m,
+        Err(e) => {
+            eprintln!("sweep failed: {e}");
             std::process::exit(1);
         }
     };
-    let rows = match &session {
-        Some(s) => table2_with(&plant, t, &weights, &x0, &cfg, &|p, tb, o| {
-            s.certify(p, tb, o)
-        }),
-        None => table2_with(&plant, t, &weights, &x0, &cfg, &|p, tb, o| {
-            stability::certify(p, tb, o)
-        }),
+    let certify_fn: CertifyFn = match &memo {
+        Some(m) => &|p, tb, o| Ok(m.certify(p, tb, o)?),
+        None => &stability::certify,
     };
+    let rows = table2_with(&plant, t, &weights, &x0, &cfg, certify_fn);
     let rows = match rows {
         Ok(r) => r,
         Err(e) => {
@@ -114,8 +106,8 @@ fn main() {
         ("schur_skipped", screen.schur_skipped() as f64),
         ("screen_hit_rate", screen.hit_rate()),
     ]);
-    if let Some(s) = &session {
-        km.extend(s.key_metrics());
+    if let Some(m) = &memo {
+        km.extend(args.report_sweep(m.stats()));
     }
     km.extend(args.finish_trace("table2"));
     args.maybe_write_json("table2", threads, elapsed, &km);

@@ -9,10 +9,9 @@
 
 use overrun_bench::{metrics, run_header, RunArgs};
 use overrun_control::plants;
-use overrun_control::scenarios::{
-    format_granularity, granularity_certifications, granularity_sweep_with,
-};
+use overrun_control::scenarios::{format_granularity, granularity_sweep_with, CertifyFn};
 use overrun_control::stability;
+use overrun_sweep::MemoCertifier;
 
 fn main() {
     let args = match RunArgs::parse(std::env::args().skip(1)) {
@@ -32,26 +31,19 @@ fn main() {
         args.sequences, args.jobs, threads
     ));
     let started = std::time::Instant::now();
-    // `--cache`: batch-certify every Ns point through the sweep engine
-    // first, then drive the experiment from the memoized results.
-    let session = match granularity_certifications(&plant, t, rmax_factor, &ns_values)
-        .map_err(|e| e.to_string())
-        .and_then(|certs| args.sweep_session(&plant, certs))
-    {
-        Ok(s) => s,
-        Err(msg) => {
-            eprintln!("sweep failed: {msg}");
+    // `--cache`: memoise every Ns point's certification.
+    let memo = match args.cache.as_deref().map(MemoCertifier::open).transpose() {
+        Ok(m) => m,
+        Err(e) => {
+            eprintln!("sweep failed: {e}");
             std::process::exit(1);
         }
     };
-    let rows = match &session {
-        Some(s) => granularity_sweep_with(&plant, t, rmax_factor, &ns_values, &cfg, &|p, tb, o| {
-            s.certify(p, tb, o)
-        }),
-        None => granularity_sweep_with(&plant, t, rmax_factor, &ns_values, &cfg, &|p, tb, o| {
-            stability::certify(p, tb, o)
-        }),
+    let certify_fn: CertifyFn = match &memo {
+        Some(m) => &|p, tb, o| Ok(m.certify(p, tb, o)?),
+        None => &stability::certify,
     };
+    let rows = granularity_sweep_with(&plant, t, rmax_factor, &ns_values, &cfg, certify_fn);
     let rows = match rows {
         Ok(r) => r,
         Err(e) => {
@@ -81,8 +73,8 @@ fn main() {
         .map(|r| r.jsr.upper)
         .fold(f64::NEG_INFINITY, f64::max);
     let mut km = metrics(&[("rows", rows.len() as f64), ("max_jsr_ub", max_ub)]);
-    if let Some(s) = &session {
-        km.extend(s.key_metrics());
+    if let Some(m) = &memo {
+        km.extend(args.report_sweep(m.stats()));
     }
     km.extend(args.finish_trace("ts_tradeoff"));
     args.maybe_write_json("ts_tradeoff", threads, elapsed, &km);

@@ -27,10 +27,9 @@ use std::path::PathBuf;
 ///   building with `--features trace`): JSONL events go to `PATH` (default
 ///   `<out_dir>/<bin>.trace.jsonl`) and a span-tree summary to stderr,
 /// * `--cache DIR` — memoize JSR certifications in a content-addressed
-///   on-disk cache (`overrun-sweep`): a rerun with the same inputs reports
-///   100% cache hits and produces byte-identical results,
-/// * `--resume` — resume a killed sweep from its checkpoint in the
-///   `--cache` directory (re-verifying every cached record it replays).
+///   on-disk cache (`overrun-sweep`): each certification is stored as soon
+///   as it completes, so a rerun with the same inputs — also after a kill —
+///   replays them as cache hits and produces byte-identical results.
 #[derive(Debug, Clone)]
 pub struct RunArgs {
     /// Random sequences per configuration.
@@ -50,8 +49,6 @@ pub struct RunArgs {
     pub trace: Option<Option<PathBuf>>,
     /// Certification-cache directory (`--cache`); `None` = direct path.
     pub cache: Option<PathBuf>,
-    /// Resume from the sweep checkpoint in the cache dir (`--resume`).
-    pub resume: bool,
 }
 
 impl Default for RunArgs {
@@ -65,7 +62,6 @@ impl Default for RunArgs {
             json: None,
             trace: None,
             cache: None,
-            resume: false,
         }
     }
 }
@@ -117,9 +113,6 @@ impl RunArgs {
                         .ok_or_else(|| "--cache requires a directory".to_string())?;
                     out.cache = Some(PathBuf::from(v));
                 }
-                "--resume" => {
-                    out.resume = true;
-                }
                 other if other.starts_with("--trace=") => {
                     let v = &other["--trace=".len()..];
                     if v.is_empty() {
@@ -138,9 +131,6 @@ impl RunArgs {
                     out.json = Some(PathBuf::from(p));
                 }
             }
-        }
-        if out.resume && out.cache.is_none() {
-            return Err("--resume requires --cache DIR".to_string());
         }
         #[cfg(not(feature = "trace"))]
         if out.trace.is_some() {
@@ -241,56 +231,20 @@ impl RunArgs {
         overrun_par::max_threads()
     }
 
-    /// When `--cache DIR` was given, runs the `overrun-sweep` batch
-    /// certification engine over `certifications` (memoized in the cache,
-    /// checkpointed, `--resume`-able, fault-isolated) and returns the
-    /// session that answers the driver's `certify` calls from the engine's
-    /// results. Returns `None` on the direct (uncached) path.
-    ///
-    /// # Errors
-    ///
-    /// Returns the sweep's infrastructure error as a string (cache or
-    /// checkpoint I/O); per-scenario faults are *not* errors here — the
-    /// lookup simply misses and the driver falls back to the direct
-    /// certifier, which reports the real failure in context.
-    pub fn sweep_session(
-        &self,
-        plant: &overrun_control::ContinuousSs,
-        certifications: Vec<(String, overrun_control::ControllerTable)>,
-    ) -> Result<Option<SweepSession>, String> {
-        let Some(dir) = &self.cache else {
-            return Ok(None);
-        };
-        let opts = overrun_control::stability::CertifyOptions::default();
-        let prepared: Vec<overrun_sweep::PreparedScenario> = certifications
-            .into_iter()
-            .map(|(label, table)| {
-                overrun_sweep::PreparedScenario::new(label, plant.clone(), table, opts.clone())
-            })
-            .collect();
-        let report = overrun_sweep::run_sweep(
-            &prepared,
-            &overrun_sweep::SweepOptions {
-                cache_dir: Some(dir.clone()),
-                resume: self.resume,
-                ..overrun_sweep::SweepOptions::default()
-            },
-        )
-        .map_err(|e| e.to_string())?;
-        for err in report.errors() {
-            eprintln!("warning: sweep {err}");
-        }
-        let stats = report.stats;
+    /// Prints the `sweep cache: H hits / M misses …` line of a finished run
+    /// and returns its counters as `--json` key metrics.
+    pub fn report_sweep(&self, stats: overrun_sweep::SweepStats) -> Vec<(String, f64)> {
         self.human(&format!(
-            "sweep cache: {} hits / {} misses ({} certified, {} shards, {} resumed)",
-            stats.cache_hits, stats.cache_misses, stats.computed, stats.shards,
-            stats.resumed_shards
+            "sweep cache: {} hits / {} misses ({} corrupt replaced, {} retried, {} errors)",
+            stats.cache_hits, stats.cache_misses, stats.corrupt_records, stats.retried, stats.errors
         ));
-        Ok(Some(SweepSession {
-            lookup: report.lookup(),
-            stats,
-            fallbacks: std::cell::Cell::new(0),
-        }))
+        metrics(&[
+            ("sweep_cache_hits", stats.cache_hits as f64),
+            ("sweep_cache_misses", stats.cache_misses as f64),
+            ("sweep_corrupt_records", stats.corrupt_records as f64),
+            ("sweep_retried", stats.retried as f64),
+            ("sweep_errors", stats.errors as f64),
+        ])
     }
 
     /// Writes `contents` to `<out_dir>/<name>`, creating the directory.
@@ -323,52 +277,6 @@ impl RunArgs {
         } else if let Err(e) = append_line(path, &record) {
             eprintln!("warning: could not write {}: {e}", path.display());
         }
-    }
-}
-
-/// A completed certification sweep bridging the experiment drivers to the
-/// `overrun-sweep` cache: [`SweepSession::certify`] answers from the
-/// engine's results by content key and falls back to the direct certifier
-/// for anything the sweep did not cover (counted, surfaced in
-/// [`SweepSession::key_metrics`]).
-#[derive(Debug)]
-pub struct SweepSession {
-    lookup: overrun_sweep::CertLookup,
-    stats: overrun_sweep::SweepStats,
-    fallbacks: std::cell::Cell<u64>,
-}
-
-impl SweepSession {
-    /// Answers one certification from the sweep results; falls back to
-    /// [`overrun_control::stability::certify`] on a lookup miss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates failures of the fallback certifier.
-    pub fn certify(
-        &self,
-        plant: &overrun_control::ContinuousSs,
-        table: &overrun_control::ControllerTable,
-        opts: &overrun_control::stability::CertifyOptions,
-    ) -> overrun_control::Result<overrun_control::stability::StabilityReport> {
-        if let Some(report) = self.lookup.report_for(plant, table, opts) {
-            return Ok(report);
-        }
-        self.fallbacks.set(self.fallbacks.get() + 1);
-        overrun_control::stability::certify(plant, table, opts)
-    }
-
-    /// Cache/engine counters for the `--json` summary record.
-    pub fn key_metrics(&self) -> Vec<(String, f64)> {
-        metrics(&[
-            ("sweep_cache_hits", self.stats.cache_hits as f64),
-            ("sweep_cache_misses", self.stats.cache_misses as f64),
-            ("sweep_computed", self.stats.computed as f64),
-            ("sweep_errors", self.stats.errors as f64),
-            ("sweep_corrupt_records", self.stats.corrupt_records as f64),
-            ("sweep_resumed_shards", self.stats.resumed_shards as f64),
-            ("sweep_lookup_fallbacks", self.fallbacks.get() as f64),
-        ])
     }
 }
 
@@ -516,17 +424,13 @@ mod tests {
 
     #[test]
     fn parse_cache_and_resume() -> Result<(), String> {
-        let a = RunArgs::parse(
-            ["--cache", "/tmp/sweep-cache", "--resume"]
-                .iter()
-                .map(|s| s.to_string()),
-        )?;
+        let a = RunArgs::parse(["--cache".to_string(), "/tmp/sweep-cache".to_string()])?;
         assert_eq!(a.cache, Some(PathBuf::from("/tmp/sweep-cache")));
-        assert!(a.resume);
-        assert!(!RunArgs::default().resume);
+        assert_eq!(RunArgs::default().cache, None);
         assert!(RunArgs::parse(["--cache".to_string()]).is_err());
-        // --resume without --cache has no checkpoint to resume from.
-        assert!(RunArgs::parse(["--resume".to_string()]).is_err());
+        // A rerun with --cache replays a killed run; there is no --resume.
+        let resume = ["--cache", "/tmp/sweep-cache", "--resume"].map(String::from);
+        assert!(RunArgs::parse(resume).is_err_and(|e| e.contains("--resume")));
         Ok(())
     }
 

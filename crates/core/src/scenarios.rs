@@ -15,7 +15,7 @@ use crate::{pi, ContinuousSs, ControllerTable, IntervalSet, Result};
 
 /// The certification hook of the `*_with` experiment drivers: same
 /// signature as [`crate::stability::certify`]. The bench binaries inject a
-/// cache-backed lookup here (`overrun-sweep`); the plain drivers pass the
+/// memoising certifier here (`overrun-sweep`); the plain drivers pass the
 /// real certifier. Implementations must be *observationally identical* to
 /// `certify` for the tables the driver requests — the CSV outputs are
 /// pinned byte-identical across both paths.
@@ -182,51 +182,6 @@ pub fn table2(
     table2_with(plant, t, weights, x0, cfg, &|p, tb, o| certify(p, tb, o))
 }
 
-/// The three adaptively-executed controller tables of one Table II cell:
-/// `(adaptive, fixed_t, fixed_rmax)`. Shared between [`table2_with`] and
-/// [`table2_certifications`] so the declarative scenario list can never
-/// drift from what the driver actually certifies.
-fn table2_cell_tables(
-    plant: &ContinuousSs,
-    t: f64,
-    weights: &LqrWeights,
-    factor: f64,
-    ns: u32,
-) -> Result<(ControllerTable, ControllerTable, ControllerTable)> {
-    let rmax = factor * t;
-    let hset = IntervalSet::from_timing(t, rmax, ns)?;
-    let adaptive = crate::lqr::design_adaptive(plant, &hset, weights)?;
-    let fixed_t = crate::lqr::design_fixed(plant, &hset, weights, t)?;
-    let fixed_rmax = crate::lqr::design_fixed(plant, &hset, weights, rmax)?;
-    Ok((adaptive, fixed_t, fixed_rmax))
-}
-
-/// Enumerates every distinct certification [`table2_with`] will request
-/// (three tables per `(Rmax, Ns)` cell, all at the default budget), with
-/// human labels — the input of the `overrun-sweep` batch engine.
-///
-/// # Errors
-///
-/// Propagates design failures.
-pub fn table2_certifications(
-    plant: &ContinuousSs,
-    t: f64,
-    weights: &LqrWeights,
-    cfg: &ExperimentConfig,
-) -> Result<Vec<(String, ControllerTable)>> {
-    let mut out = Vec::new();
-    for &factor in &cfg.rmax_factors {
-        for &ns in &cfg.ns_values {
-            let (adaptive, fixed_t, fixed_rmax) =
-                table2_cell_tables(plant, t, weights, factor, ns)?;
-            out.push((format!("table2 r{factor} ns{ns} lqr-adaptive"), adaptive));
-            out.push((format!("table2 r{factor} ns{ns} lqr-fixed-t"), fixed_t));
-            out.push((format!("table2 r{factor} ns{ns} lqr-fixed-rmax"), fixed_rmax));
-        }
-    }
-    Ok(out)
-}
-
 /// [`table2`] with an injected certifier (see [`CertifyFn`]).
 ///
 /// # Errors
@@ -246,17 +201,19 @@ pub fn table2_with(
     for &factor in &cfg.rmax_factors {
         for &ns in &cfg.ns_values {
             let rmax = factor * t;
-            let (adaptive, fixed_t, fixed_rmax) =
-                table2_cell_tables(plant, t, weights, factor, ns)?;
+            let hset = IntervalSet::from_timing(t, rmax, ns)?;
+            let adaptive = crate::lqr::design_adaptive(plant, &hset, weights)?;
+            let fixed_t = crate::lqr::design_fixed(plant, &hset, weights, t)?;
+            let fixed_rmax = crate::lqr::design_fixed(plant, &hset, weights, rmax)?;
+            let certify_table = |table| certify_fn(plant, table, &CertifyOptions::default());
 
-            let report = certify_fn(plant, &adaptive, &CertifyOptions::default())?;
+            let report = certify_table(&adaptive)?;
 
             let opts = cfg.worst_case_options();
             // A strategy's cell reads "unstable" when the JSR analysis
             // certifies instability (paper methodology) or any simulated
             // sequence diverges.
-            let worst = |table: &ControllerTable| -> Result<Option<f64>> {
-                let cert = certify_fn(plant, table, &CertifyOptions::default())?;
+            let worst = |table: &ControllerTable, cert: &StabilityReport| -> Result<Option<f64>> {
                 if cert.bounds.certifies_unstable() {
                     return Ok(None);
                 }
@@ -289,9 +246,9 @@ pub fn table2_with(
                 ns,
                 jsr_adaptive: report.bounds,
                 cost_no_overruns: nominal,
-                cost_adaptive: worst(&adaptive)?.unwrap_or(f64::INFINITY),
-                cost_fixed_t: worst(&fixed_t)?,
-                cost_fixed_rmax: worst(&fixed_rmax)?,
+                cost_adaptive: worst(&adaptive, &report)?.unwrap_or(f64::INFINITY),
+                cost_fixed_t: worst(&fixed_t, &certify_table(&fixed_t)?)?,
+                cost_fixed_rmax: worst(&fixed_rmax, &certify_table(&fixed_rmax)?)?,
                 cost_fixed_period_rmax: fixed_period_cost,
                 screen_adaptive: report.screen,
             });
@@ -336,28 +293,6 @@ pub fn granularity_sweep(
     granularity_sweep_with(plant, t, rmax_factor, ns_values, cfg, &|p, tb, o| {
         certify(p, tb, o)
     })
-}
-
-/// Enumerates every certification [`granularity_sweep_with`] will request
-/// (one adaptive PI table per `Ns`, default budget), with human labels.
-///
-/// # Errors
-///
-/// Propagates design failures.
-pub fn granularity_certifications(
-    plant: &ContinuousSs,
-    t: f64,
-    rmax_factor: f64,
-    ns_values: &[u32],
-) -> Result<Vec<(String, ControllerTable)>> {
-    let rmax = rmax_factor * t;
-    let mut out = Vec::with_capacity(ns_values.len());
-    for &ns in ns_values {
-        let hset = IntervalSet::from_timing(t, rmax, ns)?;
-        let table = pi::design_adaptive(plant, &hset)?;
-        out.push((format!("granularity r{rmax_factor} ns{ns} pi-adaptive"), table));
-    }
-    Ok(out)
 }
 
 /// [`granularity_sweep`] with an injected certifier (see [`CertifyFn`]).
@@ -487,7 +422,14 @@ mod tests {
             jobs_per_sequence: 50,
             seed: 1,
         };
-        let rows = table2(&plant, 50e-6, &weights, &x0, &cfg).unwrap();
+        // Each of the cell's three controller tables is certified once.
+        let calls = std::cell::Cell::new(0);
+        let rows = table2_with(&plant, 50e-6, &weights, &x0, &cfg, &|p, tb, o| {
+            calls.set(calls.get() + 1);
+            certify(p, tb, o)
+        })
+        .unwrap();
+        assert_eq!(calls.get(), 3);
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         // The adaptive design must be certified stable.

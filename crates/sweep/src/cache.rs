@@ -2,12 +2,13 @@
 //!
 //! Each record lives at `<dir>/<32-hex-key>.record` in the canonical text
 //! form of [`ScenarioRecord`]. Stores are atomic (write to a unique temp
-//! file, then rename), so a sweep killed mid-store never leaves a
+//! file, then rename), so a run killed mid-store never leaves a
 //! half-written record under a valid name. Loads are strict: a record that
 //! fails to parse, or whose embedded key disagrees with its file name, is
-//! reported as corrupt — the engine recomputes and overwrites it.
+//! reported as corrupt — the certifier recomputes and overwrites it.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::SweepError;
 use crate::hash::ContentHash;
@@ -20,9 +21,8 @@ pub enum CacheProbe {
     Miss,
     /// A valid record was found.
     Hit(ScenarioRecord),
-    /// A record exists but is corrupt (parse failure or key mismatch);
-    /// the carried error says why. Callers should recompute and overwrite.
-    Corrupt(SweepError),
+    /// A record exists but does not parse or names another key.
+    Corrupt,
 }
 
 /// Handle to a cache directory.
@@ -44,19 +44,9 @@ impl ResultCache {
         })
     }
 
-    /// The directory this cache lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Path of the record file for `key`.
     pub fn record_path(&self, key: ContentHash) -> PathBuf {
         self.dir.join(format!("{}.record", key.to_hex()))
-    }
-
-    /// Path of the sweep checkpoint file inside this cache.
-    pub fn checkpoint_path(&self) -> PathBuf {
-        self.dir.join("checkpoint.sweep")
     }
 
     /// Probes the cache for `key`, verifying record integrity.
@@ -64,8 +54,7 @@ impl ResultCache {
     /// # Errors
     ///
     /// Returns [`SweepError::Io`] only for I/O failures other than
-    /// not-found; corruption is reported in-band as
-    /// [`CacheProbe::Corrupt`].
+    /// not-found; corruption is reported in-band as [`CacheProbe::Corrupt`].
     pub fn probe(&self, key: ContentHash) -> Result<CacheProbe, SweepError> {
         let path = self.record_path(key);
         let text = match std::fs::read_to_string(&path) {
@@ -73,27 +62,27 @@ impl ResultCache {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(CacheProbe::Miss),
             Err(e) => return Err(SweepError::io(&path, "read", e)),
         };
-        match ScenarioRecord::parse(&text, &path) {
-            Ok(rec) if rec.key == key => Ok(CacheProbe::Hit(rec)),
-            Ok(rec) => Ok(CacheProbe::Corrupt(SweepError::Parse {
-                path,
-                line: 2,
-                msg: format!("embedded key {} does not match file name", rec.key),
-            })),
-            Err(e) => Ok(CacheProbe::Corrupt(e)),
-        }
+        Ok(match ScenarioRecord::parse(&text, &path) {
+            Ok(rec) if rec.key == key => CacheProbe::Hit(rec),
+            _ => CacheProbe::Corrupt,
+        })
     }
 
-    /// Atomically stores `record` under its key. `nonce` disambiguates the
-    /// temp file when concurrent workers store the same key.
+    /// Atomically stores `record` under its key: writes a temp file named
+    /// by the process id and a per-process counter, so concurrent stores of
+    /// one key (threads, or processes sharing the directory) never share a
+    /// temp path, then renames it over the record.
     ///
     /// # Errors
     ///
     /// Returns [`SweepError::Io`] when writing or renaming fails.
-    pub fn store(&self, record: &ScenarioRecord, nonce: u64) -> Result<(), SweepError> {
+    pub fn store(&self, record: &ScenarioRecord) -> Result<(), SweepError> {
+        static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
+        let nonce = NEXT_TMP.fetch_add(1, Ordering::Relaxed);
+        let key = record.key.to_hex();
         let tmp = self
             .dir
-            .join(format!(".{}.{nonce}.tmp", record.key.to_hex()));
+            .join(format!(".{key}.{}.{nonce}.tmp", std::process::id()));
         std::fs::write(&tmp, record.serialize()).map_err(|e| SweepError::io(&tmp, "write", e))?;
         let dst = self.record_path(record.key);
         std::fs::rename(&tmp, &dst).map_err(|e| SweepError::io(&dst, "rename", e))
@@ -136,9 +125,12 @@ mod tests {
         let cache = ResultCache::open(&dir)?;
         let r = rec(42);
         assert!(matches!(cache.probe(r.key)?, CacheProbe::Miss));
-        cache.store(&r, 0)?;
+        cache.store(&r)?;
         let probe = cache.probe(r.key)?;
-        assert!(matches!(&probe, CacheProbe::Hit(back) if *back == r), "{probe:?}");
+        assert!(
+            matches!(&probe, CacheProbe::Hit(back) if *back == r),
+            "{probe:?}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
         Ok(())
     }
@@ -148,20 +140,44 @@ mod tests {
         let dir = tmp_dir("corrupt");
         let cache = ResultCache::open(&dir)?;
         let r = rec(7);
-        cache.store(&r, 0)?;
+        cache.store(&r)?;
         // Truncate the record on disk.
         let path = cache.record_path(r.key);
         let text = std::fs::read_to_string(&path).map_err(|e| SweepError::io(&path, "read", e))?;
         std::fs::write(&path, &text[..text.len() / 2])
             .map_err(|e| SweepError::io(&path, "write", e))?;
-        assert!(matches!(cache.probe(r.key)?, CacheProbe::Corrupt(_)));
+        assert!(matches!(cache.probe(r.key)?, CacheProbe::Corrupt));
 
         // A record stored under the wrong name is also corrupt.
         let other = rec(8);
         let misfiled = cache.record_path(ContentHash(9));
         std::fs::write(&misfiled, other.serialize())
             .map_err(|e| SweepError::io(&misfiled, "write", e))?;
-        assert!(matches!(cache.probe(ContentHash(9))?, CacheProbe::Corrupt(_)));
+        assert!(matches!(cache.probe(ContentHash(9))?, CacheProbe::Corrupt));
+        let _ = std::fs::remove_dir_all(&dir);
+        Ok(())
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_key_all_succeed() -> Result<(), SweepError> {
+        let dir = tmp_dir("concurrent");
+        let cache = ResultCache::open(&dir)?;
+        let r = rec(11);
+        let barrier = std::sync::Barrier::new(8);
+        let stored = std::thread::scope(|s| {
+            let stores: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        cache.store(&r)
+                    })
+                })
+                .collect();
+            let joined = stores.into_iter().map(|h| h.join());
+            joined.filter(|res| matches!(res, Ok(Ok(())))).count()
+        });
+        assert_eq!(stored, 8, "every concurrent store must succeed");
+        assert!(matches!(cache.probe(r.key)?, CacheProbe::Hit(back) if back == r));
         let _ = std::fs::remove_dir_all(&dir);
         Ok(())
     }

@@ -1,21 +1,15 @@
-//! Error types of the sweep engine.
-//!
-//! Two layers, deliberately separate: [`SweepError`] is *infrastructure*
-//! failure (I/O, corrupt state files, an unbuildable grid) and aborts the
-//! sweep; [`ScenarioError`] is a *per-scenario* fault (a certification
-//! that diverged, errored, or tripped the `sanitize` poison) and is
-//! recorded in the report while the rest of the sweep proceeds.
+//! Errors of a memoised certification.
 
 use std::fmt;
 use std::path::PathBuf;
 
 use crate::hash::ContentHash;
 
-/// Infrastructure failure that aborts a sweep.
+/// Why one memoised certification returned no report.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum SweepError {
-    /// A filesystem operation on cache or checkpoint state failed.
+    /// A filesystem operation on the cache failed.
     Io {
         /// File or directory the operation targeted.
         path: PathBuf,
@@ -24,7 +18,7 @@ pub enum SweepError {
         /// Underlying error message.
         msg: String,
     },
-    /// A cache record or checkpoint file does not parse.
+    /// A cache record does not parse.
     Parse {
         /// File that failed to parse.
         path: PathBuf,
@@ -33,9 +27,18 @@ pub enum SweepError {
         /// What was expected.
         msg: String,
     },
-    /// The scenario grid itself is invalid (e.g. a design that cannot be
-    /// materialized deterministically into keys).
-    Grid(String),
+    /// The certification faulted, and so did its tightened-budget retry.
+    /// Never cached, so a rerun retries it.
+    Fault {
+        /// Content key of the certification (its would-be cache address).
+        key: ContentHash,
+        /// Human label of the certification.
+        label: String,
+        /// Certification attempts made.
+        attempts: u32,
+        /// The fault of the last attempt.
+        fault: ScenarioFault,
+    },
 }
 
 impl fmt::Display for SweepError {
@@ -47,7 +50,15 @@ impl fmt::Display for SweepError {
             SweepError::Parse { path, line, msg } => {
                 write!(f, "corrupt record {}:{line}: {msg}", path.display())
             }
-            SweepError::Grid(msg) => write!(f, "invalid sweep grid: {msg}"),
+            SweepError::Fault {
+                key,
+                label,
+                attempts,
+                fault,
+            } => write!(
+                f,
+                "certification {key} ({label}) after {attempts} attempt(s): {fault}"
+            ),
         }
     }
 }
@@ -64,11 +75,18 @@ impl SweepError {
     }
 }
 
-/// How a single scenario failed.
+/// Hands the failure to an experiment driver through its
+/// [`overrun_control::scenarios::CertifyFn`] hook.
+impl From<SweepError> for overrun_control::Error {
+    fn from(e: SweepError) -> Self {
+        overrun_control::Error::Certifier(e.to_string())
+    }
+}
+
+/// How a single certification attempt failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScenarioFault {
-    /// The certification returned an error (design, lifting, or JSR
-    /// machinery failure).
+    /// The certification returned an error.
     Failed(String),
     /// The certification panicked — in practice the `sanitize` feature
     /// poisoning a NaN/Inf at the producing kernel, or an internal
@@ -82,32 +100,5 @@ impl fmt::Display for ScenarioFault {
             ScenarioFault::Failed(msg) => write!(f, "failed: {msg}"),
             ScenarioFault::Panicked(msg) => write!(f, "panicked: {msg}"),
         }
-    }
-}
-
-/// Structured record of a scenario that could not be certified, kept in
-/// the [`crate::SweepReport`] instead of aborting the sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScenarioError {
-    /// Index of the scenario in the input grid.
-    pub index: usize,
-    /// Content key of the scenario (its would-be cache address).
-    pub key: ContentHash,
-    /// Human label of the scenario.
-    pub label: String,
-    /// Certification attempts made (1, or 2 when the tightened-budget
-    /// retry also failed).
-    pub attempts: u32,
-    /// The fault of the **last** attempt.
-    pub fault: ScenarioFault,
-}
-
-impl fmt::Display for ScenarioError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "scenario #{} ({}) after {} attempt(s): {}",
-            self.index, self.label, self.attempts, self.fault
-        )
     }
 }

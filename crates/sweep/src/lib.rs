@@ -1,61 +1,42 @@
-//! # overrun-sweep — resumable batch certification sweeps
+//! # overrun-sweep — memoised JSR certification
 //!
-//! The paper's workflow certifies `JSR({Ω(h) : h ∈ H}) < 1` for every
-//! candidate design point (plant × `Rmax` × `Ns` × policy) — an
-//! embarrassingly sweepable workload that the bench binaries used to
-//! recompute from scratch on every run. This crate turns it into a batch
-//! engine with:
+//! The paper's design loop certifies `JSR({Ω(h) : h ∈ H}) < 1` once per
+//! candidate design (plant × `Rmax` × `Ns` × policy). [`MemoCertifier`]
+//! memoises those certifications across runs; its `certify` takes the
+//! arguments of [`overrun_control::stability::certify`], so an experiment
+//! driver takes it as its certification hook. Per call it:
 //!
-//! - **Declarative grids** ([`GridSpec`] → [`Scenario`] →
-//!   [`PreparedScenario`]): the cartesian product of plants, periods,
-//!   `Rmax` factors, oversampling factors and design policies, expanded
-//!   deterministically.
-//! - **Content-addressed memoization** ([`ResultCache`]): each scenario is
-//!   keyed by a hand-rolled FNV-128 hash over the *materialized* inputs —
-//!   plant matrices, controller table, certification budget, crate
-//!   version — with every `f64` hashed by exact bit pattern
-//!   ([`certification_key`]). Records round-trip byte-exactly
-//!   ([`ScenarioRecord`]), in the same human-readable-but-exact style as
-//!   the trace JSONL.
-//! - **Deterministic sharding** ([`run_sweep`]): scenarios run on the
-//!   `overrun-par` workers, order-preserving, so sweep reports are
-//!   bit-identical at any thread count.
-//! - **Checkpointed resume**: a killed sweep resumes from the last
-//!   completed shard ([`SweepOptions::resume`]), re-verifying every cache
-//!   record it replays.
-//! - **Fault isolation**: a diverging or `sanitize`-poisoned scenario is
-//!   caught (`catch_unwind`), retried once at a tightened budget, and on a
-//!   second fault recorded as a structured [`ScenarioError`] while the
-//!   sweep continues.
+//! 1. computes the content key ([`certification_key`]): a framed FNV-128
+//!    hash ([`Canon`]) of the plant, controller table and budget, every
+//!    `f64` by exact bit pattern, plus crate version and certifier revision;
+//! 2. returns the record ([`ScenarioRecord`], byte-exact round trip) on a
+//!    [`ResultCache`] hit, and recomputes and overwrites a corrupt one;
+//! 3. otherwise certifies under `catch_unwind`, retries a fault once at
+//!    [`tightened_budget`], and stores the record atomically. A double
+//!    fault is returned as [`SweepError::Fault`] and never cached.
 //!
-//! The bench binaries (`table2`, `ts_tradeoff`) route their certifications
-//! through [`CertLookup`], so `--cache DIR` runs hit the same records the
-//! declarative path writes — their CSV output stays byte-identical to the
-//! direct path.
+//! Each record is stored as soon as it is certified, so a run killed at any
+//! point loses at most the certification in flight: a rerun on the same
+//! cache replays the rest as hits. The bench binaries `table2` and
+//! `ts_tradeoff` use it under `--cache DIR`, with byte-identical CSV output.
 //!
 //! ```
-//! use overrun_control::{plants, stability::CertifyOptions};
-//! use overrun_sweep::{
-//!     run_sweep, DesignPolicy, GridSpec, SweepOptions,
-//! };
+//! use overrun_control::{pi, plants, stability, IntervalSet};
+//! use overrun_control::stability::CertifyOptions;
+//! use overrun_sweep::MemoCertifier;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let grid = GridSpec {
-//!     plants: vec![("uso".into(), plants::unstable_second_order())],
-//!     periods: vec![0.010],
-//!     rmax_factors: vec![1.3],
-//!     ns_values: vec![2],
-//!     policies: vec![("adaptive".into(), DesignPolicy::PiAdaptive)],
-//!     opts: CertifyOptions::default(),
-//! };
-//! let prepared = grid
-//!     .expand()
-//!     .iter()
-//!     .map(|s| s.prepare())
-//!     .collect::<Result<Vec<_>, _>>()?;
-//! let report = run_sweep(&prepared, &SweepOptions::default())?;
-//! assert_eq!(report.stats.computed, 1);
-//! assert!(report.errors().is_empty());
+//! let plant = plants::unstable_second_order();
+//! let table = pi::design_adaptive(&plant, &IntervalSet::from_timing(0.010, 0.013, 2)?)?;
+//! let opts = CertifyOptions::default();
+//! let dir = std::env::temp_dir().join(format!("overrun-sweep-doc-{}", std::process::id()));
+//! let memo = MemoCertifier::open(&dir)?;
+//! let cold = memo.certify(&plant, &table, &opts)?;
+//! let warm = memo.certify(&plant, &table, &opts)?;
+//! assert_eq!(cold.bounds, stability::certify(&plant, &table, &opts)?.bounds);
+//! assert_eq!(warm.bounds, cold.bounds);
+//! assert_eq!((memo.stats().cache_misses, memo.stats().cache_hits), (1, 1));
+//! # std::fs::remove_dir_all(&dir)?;
 //! # Ok(())
 //! # }
 //! ```
@@ -70,22 +51,15 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod checkpoint;
-mod engine;
+mod certifier;
 mod error;
 mod hash;
 mod record;
 mod scenario;
 
 pub use cache::{CacheProbe, ResultCache};
-pub use checkpoint::{load_completed, Checkpoint, GridId, CHECKPOINT_HEADER};
-pub use engine::{
-    run_sweep, run_sweep_with, tightened_budget, CertLookup, CertifyRunner, ScenarioOutcome,
-    SweepOptions, SweepReport, SweepStats,
-};
-pub use error::{ScenarioError, ScenarioFault, SweepError};
+pub use certifier::{tightened_budget, CertifyRunner, MemoCertifier, SweepStats};
+pub use error::{ScenarioFault, SweepError};
 pub use hash::{Canon, ContentHash};
 pub use record::{ScenarioRecord, RECORD_HEADER};
-pub use scenario::{
-    certification_key, grid_key, DesignPolicy, GainSchedule, GridSpec, PreparedScenario, Scenario,
-};
+pub use scenario::certification_key;

@@ -134,27 +134,22 @@ impl ScenarioRecord {
             path,
         };
         p.expect_literal(RECORD_HEADER)?;
-        let key_hex = p.field("key")?;
-        let key = ContentHash::from_hex(&key_hex)
-            .ok_or_else(|| p.err(2, "key is not 32 hex digits"))?;
-        let crate_version = p.field("crate")?;
-        let label = unescape_label(&p.field("label")?)
-            .ok_or_else(|| p.err(4, "bad escape in label"))?;
-        let verdict_raw = p.field("verdict")?;
-        let verdict = parse_verdict(&verdict_raw)
-            .ok_or_else(|| p.err(5, "verdict must be stable|unstable|unknown"))?;
-        let lower = p.f64_field("lower")?;
-        let upper = p.f64_field("upper")?;
-        let elapsed_ms = p.u64_field("elapsed_ms")?;
-        let attempts = p.u64_field("attempts")? as u32;
+        let key = p.field("key", "32 hex digits", ContentHash::from_hex)?;
+        let crate_version = p.field("crate", "text", |s| Some(s.to_string()))?;
+        let label = p.field("label", "a label with valid escapes", unescape_label)?;
+        let verdict = p.field("verdict", "stable|unstable|unknown", parse_verdict)?;
+        let lower = p.field("lower", F64_BITS, f64_bits)?;
+        let upper = p.field("upper", F64_BITS, f64_bits)?;
+        let elapsed_ms = p.field("elapsed_ms", UINT, uint)?;
+        let attempts = p.field("attempts", UINT, uint)?;
         let screen = ScreenStats {
-            nodes: p.u64_field("screen.nodes")?,
-            exact_norms: p.u64_field("screen.exact_norms")?,
-            cached_norms: p.u64_field("screen.cached_norms")?,
-            exact_eigs: p.u64_field("screen.exact_eigs")?,
-            skipped_norms: p.u64_field("screen.skipped_norms")?,
-            skipped_eigs: p.u64_field("screen.skipped_eigs")?,
-            lb_depth: p.u64_field("screen.lb_depth")? as usize,
+            nodes: p.field("screen.nodes", UINT, uint)?,
+            exact_norms: p.field("screen.exact_norms", UINT, uint)?,
+            cached_norms: p.field("screen.cached_norms", UINT, uint)?,
+            exact_eigs: p.field("screen.exact_eigs", UINT, uint)?,
+            skipped_norms: p.field("screen.skipped_norms", UINT, uint)?,
+            skipped_eigs: p.field("screen.skipped_eigs", UINT, uint)?,
+            lb_depth: p.field("screen.lb_depth", UINT, uint)?,
         };
         p.expect_end()?;
         Ok(ScenarioRecord {
@@ -170,7 +165,23 @@ impl ScenarioRecord {
     }
 }
 
-/// Minimal strict line parser shared by record and checkpoint formats.
+const F64_BITS: &str = "0x-hex f64 bits";
+const UINT: &str = "an unsigned integer in range";
+
+/// Parses the exact bit pattern of an `f64` line, ignoring its
+/// human-readable ` # value` comment.
+fn f64_bits(s: &str) -> Option<f64> {
+    let hex = s.split(" # ").next()?.strip_prefix("0x")?;
+    u64::from_str_radix(hex, 16).ok().map(f64::from_bits)
+}
+
+/// Parses an unsigned integer that fits `T`: an out-of-range value is
+/// corrupt, never truncated.
+fn uint<T: TryFrom<u64>>(s: &str) -> Option<T> {
+    s.parse::<u64>().ok().and_then(|v| T::try_from(v).ok())
+}
+
+/// Minimal strict line parser of the record format.
 struct Parser<'a> {
     lines: std::iter::Enumerate<std::str::Lines<'a>>,
     path: &'a Path,
@@ -200,37 +211,20 @@ impl Parser<'_> {
         Ok(())
     }
 
-    /// Reads `name = value` verbatim (no comment handling — only the f64
-    /// lines carry ` # ` comments, and a label may legitimately contain
-    /// that byte sequence).
-    fn field(&mut self, name: &str) -> Result<String, SweepError> {
+    /// Reads the next line as `name = value` and converts the value with
+    /// `conv`; an error names the line. The value is taken verbatim: only
+    /// `f64` lines carry a ` # ` comment, and a label may contain one.
+    fn field<T>(
+        &mut self,
+        name: &str,
+        what: &str,
+        conv: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, SweepError> {
         let (n, line) = self.next_line()?;
-        let prefix = format!("{name} = ");
-        let Some(rest) = line.strip_prefix(&prefix) else {
+        let Some(value) = line.strip_prefix(name).and_then(|r| r.strip_prefix(" = ")) else {
             return Err(self.err(n, format!("expected field `{name}`")));
         };
-        Ok(rest.to_string())
-    }
-
-    fn f64_field(&mut self, name: &str) -> Result<f64, SweepError> {
-        let raw = self.field(name)?;
-        // Strip the human-readable ` # value` comment.
-        let raw = match raw.find(" # ") {
-            Some(pos) => &raw[..pos],
-            None => raw.as_str(),
-        };
-        let hex = raw
-            .strip_prefix("0x")
-            .ok_or_else(|| self.err(0, format!("field `{name}` must be 0x-hex f64 bits")))?;
-        let bits = u64::from_str_radix(hex, 16)
-            .map_err(|_| self.err(0, format!("field `{name}`: bad hex bits")))?;
-        Ok(f64::from_bits(bits))
-    }
-
-    fn u64_field(&mut self, name: &str) -> Result<u64, SweepError> {
-        let raw = self.field(name)?;
-        raw.parse::<u64>()
-            .map_err(|_| self.err(0, format!("field `{name}` must be an unsigned integer")))
+        conv(value).ok_or_else(|| self.err(n, format!("field `{name}` must be {what}")))
     }
 
     fn expect_end(&mut self) -> Result<(), SweepError> {
@@ -301,6 +295,30 @@ mod tests {
                 ScenarioRecord::parse(text, &path).is_err(),
                 "case {i} should fail"
             );
+        }
+        // An out-of-range attempt count is corrupt, not truncated to 1, and
+        // a bad number names its line.
+        let cases = [
+            (
+                "attempts",
+                good.replacen("attempts = 2", "attempts = 4294967297", 1),
+            ),
+            ("lower", good.replacen("lower = 0x", "lower = 0y", 1)),
+            (
+                "screen.nodes",
+                good.replacen("nodes = 12345", "nodes = -1", 1),
+            ),
+        ];
+        for (field, text) in cases {
+            let want = text
+                .lines()
+                .position(|l| l.starts_with(field))
+                .map(|i| i + 1);
+            let got = match ScenarioRecord::parse(&text, &path) {
+                Err(SweepError::Parse { line, .. }) => Some(line),
+                _ => None,
+            };
+            assert_eq!(got, want, "{field}");
         }
     }
 

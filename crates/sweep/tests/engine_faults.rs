@@ -1,20 +1,19 @@
-//! Engine behavior tests: fault isolation, tightened-budget retry,
-//! checkpointing, cache integrity re-verification, resume-after-kill.
-//!
-//! These use an injected [`CertifyRunner`] (the engine's fault seam), so
-//! they are fast and exercise the engine logic — the differential oracle
-//! in `tests/sweep_differential.rs` covers the real certifier.
+//! Memoising-certifier behaviour: fault isolation, tightened-budget retry,
+//! corrupt-record replacement, kill-and-rerun. A fake certifier (the
+//! `MemoCertifier::with_runner` seam) keeps these fast; the differential
+//! oracle in `tests/sweep_differential.rs` covers the real certifier.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::{Path, PathBuf};
 
-use overrun_control::stability::{CertifyOptions, StabilityReport};
-use overrun_control::{plants, stability};
+use overrun_control::stability::{self, CertifyOptions, StabilityReport};
+use overrun_control::{plants, ContinuousSs, ControllerMode, ControllerTable, IntervalSet};
 use overrun_jsr::{JsrBounds, ScreenStats, StabilityVerdict};
+use overrun_linalg::Matrix;
 use overrun_sweep::{
-    run_sweep_with, DesignPolicy, GridSpec, SweepOptions,
+    certification_key, CertifyRunner, MemoCertifier, ScenarioFault, SweepError, SweepStats,
 };
 
+/// A fresh cache directory per test.
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "overrun-sweep-engine-test-{tag}-{}",
@@ -24,9 +23,9 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A cheap, deterministic stand-in certifier: "bounds" derived from the
-/// table size so distinct scenarios get distinct records.
-fn fake_report(table: &overrun_control::ControllerTable) -> StabilityReport {
+/// A deterministic stand-in certifier: "bounds" derived from the interval
+/// count, so distinct tables get distinct records.
+fn fake_report(table: &ControllerTable) -> StabilityReport {
     let n = table.len() as f64;
     StabilityReport {
         bounds: JsrBounds {
@@ -41,272 +40,201 @@ fn fake_report(table: &overrun_control::ControllerTable) -> StabilityReport {
     }
 }
 
-fn grid(n_rmax: usize) -> Vec<overrun_sweep::PreparedScenario> {
-    let spec = GridSpec {
-        plants: vec![("uso".into(), plants::unstable_second_order())],
-        periods: vec![0.010],
-        rmax_factors: (0..n_rmax).map(|i| 1.05 + 0.05 * i as f64).collect(),
-        ns_values: vec![2],
-        policies: vec![("adaptive".into(), DesignPolicy::PiAdaptive)],
-        opts: CertifyOptions::default(),
-    };
-    spec.expand()
+const FAKE: CertifyRunner<'static> = &|_, t, _| Ok(fake_report(t));
+
+/// The unstable second-order plant and `n` static-gain tables with 2..=n+1
+/// intervals (the fakes tell tables apart by their length).
+fn grid(n: usize) -> (ContinuousSs, Vec<ControllerTable>) {
+    let mode = ControllerMode::static_gain(Matrix::from_rows(&[&[-0.5]]).expect("gain"));
+    let tables = (0..n)
+        .map(|i| {
+            let hset = IntervalSet::from_timing(0.010, 0.001 * (11 + i) as f64, 10);
+            ControllerTable::fixed(mode.clone().expect("mode"), hset.expect("timing"))
+                .expect("table")
+        })
+        .collect();
+    (plants::unstable_second_order(), tables)
+}
+
+type Outcomes = Vec<Result<StabilityReport, SweepError>>;
+
+/// Certifies every table of `grid(n)` through a fresh certifier on `dir`.
+fn run(dir: &Path, runner: CertifyRunner<'_>, n: usize) -> (Outcomes, SweepStats) {
+    let (plant, tables) = grid(n);
+    let memo = MemoCertifier::with_runner(dir, runner).expect("open cache");
+    let opts = CertifyOptions::default();
+    let out = tables
         .iter()
-        .map(|s| s.prepare().expect("design"))
+        .map(|t| memo.certify(&plant, t, &opts))
+        .collect();
+    (out, memo.stats())
+}
+
+fn stats(hits: u64, misses: u64, corrupt: u64, retried: u64, errors: u64) -> SweepStats {
+    SweepStats {
+        cache_hits: hits,
+        cache_misses: misses,
+        corrupt_records: corrupt,
+        retried,
+        errors,
+    }
+}
+
+/// Cache path of the record of table `index` of the grid.
+fn record_path(dir: &Path, index: usize) -> PathBuf {
+    let (plant, tables) = grid(index + 1);
+    let key = certification_key(&plant, &tables[index], &CertifyOptions::default());
+    dir.join(format!("{}.record", key.to_hex()))
+}
+
+/// The bound bits of successful outcomes.
+fn bounds(out: &Outcomes) -> Vec<(u64, u64)> {
+    out.iter()
+        .map(|r| r.as_ref().expect("certified").bounds)
+        .map(|b| (b.lower.to_bits(), b.upper.to_bits()))
         .collect()
 }
 
 #[test]
 fn panic_is_isolated_and_retry_succeeds() {
-    let scenarios = grid(3);
-    let calls = AtomicU64::new(0);
-    // Every scenario's *first* attempt (full budget) panics, mimicking a
-    // sanitize poison; the tightened-budget retry succeeds.
-    let report = run_sweep_with(&scenarios, &SweepOptions::default(), &|_, t, o| {
-        calls.fetch_add(1, Ordering::SeqCst);
-        assert!(
-            (o.max_depth == CertifyOptions::default().max_depth) || o.max_depth <= 4,
-            "retry must tighten the budget"
-        );
-        if o.max_depth == CertifyOptions::default().max_depth {
+    let dir = tmp_dir("panic");
+    let calls = std::cell::Cell::new(0);
+    let full_depth = CertifyOptions::default().max_depth;
+    // Every full-budget attempt panics, mimicking a sanitize poison; the
+    // tightened-budget retry succeeds.
+    let runner = |_: &ContinuousSs, t: &ControllerTable, o: &CertifyOptions| {
+        calls.set(calls.get() + 1);
+        if o.max_depth == full_depth {
             panic!("[sanitize] injected poison");
         }
+        assert!(o.max_depth <= 4, "retry must tighten the budget");
         Ok(fake_report(t))
-    })
-    .expect("sweep must not abort on scenario panics");
-
-    assert_eq!(report.stats.errors, 0);
-    assert_eq!(report.stats.retried, 3);
-    assert_eq!(calls.load(Ordering::SeqCst), 6, "one retry per scenario");
-    for o in &report.outcomes {
-        let rec = o.result.as_ref().expect("retry succeeded");
-        assert_eq!(rec.attempts, 2);
-    }
+    };
+    let (out, st) = run(&dir, &runner, 3);
+    assert_eq!(st, stats(0, 3, 0, 3, 0));
+    assert_eq!(calls.get(), 6, "one retry per certification");
+    assert_eq!(bounds(&out), bounds(&run(&tmp_dir("panic-ref"), FAKE, 3).0));
+    let record = std::fs::read_to_string(record_path(&dir, 2)).expect("record");
+    assert!(record.contains("\nattempts = 2\n"), "{record}");
 }
 
 #[test]
 fn double_fault_is_a_structured_error_not_an_abort() {
-    let scenarios = grid(2);
-    // A runner only sees the materialized triple; the content key is how
-    // it (and the cache) identifies a scenario.
-    let poisoned = scenarios[1].key;
-    let report = run_sweep_with(&scenarios, &SweepOptions::default(), &|p, t, _| {
-        // Key with the *grid* budget so the tightened retry still matches
-        // (the retry passes different opts, but it is the same scenario).
-        if overrun_sweep::certification_key(p, t, &CertifyOptions::default()) == poisoned {
+    let dir = tmp_dir("double-fault");
+    let poisoned = grid(2).1[1].len();
+    let runner = |_: &ContinuousSs, t: &ControllerTable, _: &CertifyOptions| {
+        if t.len() == poisoned {
             panic!("[sanitize] non-finite value");
         }
         Ok(fake_report(t))
-    })
-    .expect("sweep survives double faults");
+    };
+    let (mut out, st) = run(&dir, &runner, 2);
+    assert_eq!(st, stats(0, 2, 0, 0, 1));
+    let err = out.pop().expect("two outcomes").expect_err("double fault");
+    assert!(out[0].is_ok());
+    let panicked = ScenarioFault::Panicked("[sanitize] non-finite value".to_string());
+    assert!(
+        matches!(&err, SweepError::Fault { attempts: 2, fault, .. } if *fault == panicked),
+        "{err}"
+    );
+    // It reaches an experiment driver as an `Err` naming the fault.
+    assert!(overrun_control::Error::from(err)
+        .to_string()
+        .contains("panicked"));
 
-    assert_eq!(report.stats.errors, 1);
-    assert!(report.outcomes[0].result.is_ok());
-    let err = report.outcomes[1].result.as_ref().expect_err("faulted");
-    assert_eq!(err.attempts, 2);
-    assert!(matches!(
-        err.fault,
-        overrun_sweep::ScenarioFault::Panicked(_)
-    ));
-    assert_eq!(report.errors().len(), 1);
+    // The fault was not cached: a healthy rerun recomputes it, the rest hit.
+    assert!(!record_path(&dir, 1).exists());
+    assert_eq!(run(&dir, FAKE, 2).1, stats(1, 1, 0, 0, 0));
+    assert!(record_path(&dir, 1).exists());
 }
 
 #[test]
 fn err_results_are_faults_too() {
-    let scenarios = grid(1);
-    let report = run_sweep_with(
-        &scenarios,
-        &SweepOptions {
-            retry: false,
-            ..SweepOptions::default()
-        },
-        &|_, _, _| {
-            Err(overrun_control::Error::Design(
-                "no stabilising gain".to_string(),
-            ))
-        },
-    )
-    .expect("sweep survives Err results");
-    assert_eq!(report.stats.errors, 1);
-    let err = report.outcomes[0].result.as_ref().expect_err("faulted");
-    assert_eq!(err.attempts, 1);
-    assert!(matches!(err.fault, overrun_sweep::ScenarioFault::Failed(_)));
+    let runner = |_: &ContinuousSs, _: &ControllerTable, _: &CertifyOptions| {
+        Err(overrun_control::Error::Design(
+            "no stabilising gain".to_string(),
+        ))
+    };
+    let (out, st) = run(&tmp_dir("err"), &runner, 1);
+    assert_eq!(st, stats(0, 1, 0, 0, 1));
+    assert!(matches!(
+        &out[0],
+        Err(SweepError::Fault { attempts: 2, fault: ScenarioFault::Failed(m), .. })
+            if m.contains("no stabilising")
+    ));
 }
 
 #[test]
 fn warm_cache_reports_all_hits_and_identical_records() {
     let dir = tmp_dir("warm");
-    let scenarios = grid(4);
-    let opts = SweepOptions {
-        cache_dir: Some(dir.clone()),
-        shard_size: 2,
-        ..SweepOptions::default()
-    };
-    let runner: overrun_sweep::CertifyRunner =
-        &|_, t: &overrun_control::ControllerTable, _: &CertifyOptions| Ok(fake_report(t));
-
-    let cold = run_sweep_with(&scenarios, &opts, runner).expect("cold run");
-    assert_eq!(cold.stats.cache_hits, 0);
-    assert_eq!(cold.stats.cache_misses, 4);
-    assert_eq!(cold.stats.computed, 4);
-
-    // Second run: 100% hits, and records identical to the cold run's.
-    let warm = run_sweep_with(&scenarios, &opts, &|_, _, _| {
-        panic!("warm run must not recompute")
-    })
-    .expect("warm run");
-    assert_eq!(warm.stats.cache_hits, 4);
-    assert_eq!(warm.stats.cache_misses, 0);
-    for (c, w) in cold.outcomes.iter().zip(&warm.outcomes) {
-        assert_eq!(
-            c.result.as_ref().expect("ok"),
-            w.result.as_ref().expect("ok")
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    let (cold, st) = run(&dir, FAKE, 4);
+    assert_eq!(st, stats(0, 4, 0, 0, 0));
+    let (warm, st) = run(&dir, &|_, _, _| panic!("warm run must not recompute"), 4);
+    assert_eq!(st, stats(4, 0, 0, 0, 0));
+    assert_eq!(bounds(&warm), bounds(&cold));
 }
 
 #[test]
 fn kill_and_resume_converges_to_uninterrupted_result() {
-    let dir_full = tmp_dir("uninterrupted");
-    let dir_kill = tmp_dir("killed");
-    let scenarios = grid(6);
-    let runner: overrun_sweep::CertifyRunner =
-        &|_, t: &overrun_control::ControllerTable, _: &CertifyOptions| Ok(fake_report(t));
-
-    // Reference: one uninterrupted cached run.
-    let reference = run_sweep_with(
-        &scenarios,
-        &SweepOptions {
-            cache_dir: Some(dir_full.clone()),
-            shard_size: 2,
-            ..SweepOptions::default()
-        },
-        runner,
-    )
-    .expect("reference run");
-
-    // "Killed" run: complete, then simulate the kill by deleting the
-    // records of the last two shards and truncating the checkpoint to its
-    // first completion line (plus a torn tail).
-    let opts_kill = SweepOptions {
-        cache_dir: Some(dir_kill.clone()),
-        shard_size: 2,
-        resume: true,
-        ..SweepOptions::default()
-    };
-    let first = run_sweep_with(&scenarios, &opts_kill, runner).expect("first run");
-    assert_eq!(first.stats.computed, 6);
-    for o in &first.outcomes[2..] {
-        std::fs::remove_file(dir_kill.join(format!("{}.record", o.key.to_hex())))
-            .expect("remove record");
+    let dir = tmp_dir("killed");
+    let (reference, _) = run(&dir, FAKE, 6);
+    // What a `kill -9` leaves behind: the records not yet reached are
+    // missing, and a torn temp file of the one in flight remains.
+    for i in 2..6 {
+        std::fs::remove_file(record_path(&dir, i)).expect("remove record");
     }
-    let ckpt = dir_kill.join("checkpoint.sweep");
-    let text = std::fs::read_to_string(&ckpt).expect("read checkpoint");
-    let keep: String = {
-        let pos = text.find("shard 0 ok\n").expect("has shard 0") + "shard 0 ok\n".len();
-        format!("{}shard 1 o", &text[..pos]) // torn tail from the kill
-    };
-    std::fs::write(&ckpt, keep).expect("truncate checkpoint");
-
-    // Resume: shard 0 replays from cache, shards 1–2 recompute.
-    let resumed = run_sweep_with(&scenarios, &opts_kill, runner).expect("resumed run");
-    assert_eq!(resumed.stats.resumed_shards, 1);
-    assert_eq!(resumed.stats.cache_hits, 2);
-    assert_eq!(resumed.stats.computed, 4);
-    assert_eq!(resumed.outcomes.len(), reference.outcomes.len());
-    for (r, u) in resumed.outcomes.iter().zip(&reference.outcomes) {
-        let (r, u) = (r.result.as_ref().expect("ok"), u.result.as_ref().expect("ok"));
-        assert_eq!(r.verdict, u.verdict);
-        assert_eq!(r.bounds.lower.to_bits(), u.bounds.lower.to_bits());
-        assert_eq!(r.bounds.upper.to_bits(), u.bounds.upper.to_bits());
-    }
-    let _ = std::fs::remove_dir_all(&dir_full);
-    let _ = std::fs::remove_dir_all(&dir_kill);
+    let torn = record_path(&dir, 2).with_extension("999.tmp");
+    std::fs::write(torn, "overrun-sweep-record v1\nkey = ").expect("torn temp file");
+    let (rerun, st) = run(&dir, FAKE, 6);
+    assert_eq!(st, stats(2, 4, 0, 0, 0));
+    assert_eq!(bounds(&rerun), bounds(&reference));
 }
 
 #[test]
 fn corrupt_record_is_reverified_and_replaced_on_load() {
     let dir = tmp_dir("corrupt-reload");
-    let scenarios = grid(2);
-    let opts = SweepOptions {
-        cache_dir: Some(dir.clone()),
-        resume: true,
-        ..SweepOptions::default()
-    };
-    let runner: overrun_sweep::CertifyRunner =
-        &|_, t: &overrun_control::ControllerTable, _: &CertifyOptions| Ok(fake_report(t));
-    let first = run_sweep_with(&scenarios, &opts, runner).expect("first run");
-
-    // Corrupt one record in place.
-    let victim = dir.join(format!("{}.record", first.outcomes[0].key.to_hex()));
+    let (first, _) = run(&dir, FAKE, 2);
+    let victim = record_path(&dir, 0);
     let text = std::fs::read_to_string(&victim).expect("read record");
     std::fs::write(&victim, &text[..text.len() - 20]).expect("corrupt record");
 
-    let second = run_sweep_with(&scenarios, &opts, runner).expect("second run");
-    assert_eq!(second.stats.corrupt_records, 1);
-    assert_eq!(second.stats.cache_hits, 1);
-    assert_eq!(second.stats.computed, 1);
-    // The replacement matches the original bits.
-    let a = first.outcomes[0].result.as_ref().expect("ok");
-    let b = second.outcomes[0].result.as_ref().expect("ok");
-    assert_eq!(a.bounds.upper.to_bits(), b.bounds.upper.to_bits());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn erroring_shards_are_not_checkpointed_and_retry_on_rerun() {
-    let dir = tmp_dir("error-shard");
-    let scenarios = grid(4);
-    let opts = SweepOptions {
-        cache_dir: Some(dir.clone()),
-        shard_size: 2,
-        resume: true,
-        retry: false,
-    };
-    let bad = scenarios[3].key;
-    // First run: last scenario faults → shard 1 must not be checkpointed
-    // and the fault must not be cached.
-    let first = run_sweep_with(&scenarios, &opts, &|p, t, o| {
-        if overrun_sweep::certification_key(p, t, o) == bad {
-            return Err(overrun_control::Error::Design("transient".into()));
-        }
-        Ok(fake_report(t))
-    })
-    .expect("first run");
-    assert_eq!(first.stats.errors, 1);
-    let ckpt = std::fs::read_to_string(dir.join("checkpoint.sweep")).expect("checkpoint");
-    assert!(ckpt.contains("shard 0 ok"));
-    assert!(!ckpt.contains("shard 1 ok"));
-    assert!(!dir.join(format!("{}.record", bad.to_hex())).exists());
-
-    // Rerun with a healthy runner: the faulted scenario is recomputed,
-    // the healthy ones hit.
-    let second = run_sweep_with(&scenarios, &opts, &|_, t, _| Ok(fake_report(t)))
-        .expect("second run");
-    assert_eq!(second.stats.errors, 0);
-    assert_eq!(second.stats.cache_hits, 3);
-    assert_eq!(second.stats.computed, 1);
-    let ckpt = std::fs::read_to_string(dir.join("checkpoint.sweep")).expect("checkpoint");
-    assert!(ckpt.contains("shard 1 ok"));
-    let _ = std::fs::remove_dir_all(&dir);
+    let (second, st) = run(&dir, FAKE, 2);
+    assert_eq!(st, stats(1, 1, 1, 0, 0));
+    assert_eq!(bounds(&second), bounds(&first));
+    assert_eq!(std::fs::read_to_string(&victim).expect("reread"), text);
 }
 
 #[test]
 fn lookup_answers_real_certifications_bit_identically() {
-    // Real certifier on one small scenario: the CertLookup bridge must
-    // reproduce `stability::certify` exactly.
-    let scenarios = grid(1);
-    let report = overrun_sweep::run_sweep(&scenarios, &SweepOptions::default()).expect("sweep");
-    let lookup = report.lookup();
-    assert_eq!(lookup.len(), 1);
-    let s = &scenarios[0];
-    let direct = stability::certify(&s.plant, &s.table, &s.opts).expect("direct certify");
-    let via = lookup
-        .report_for(&s.plant, &s.table, &s.opts)
-        .expect("lookup hit");
-    assert_eq!(via.verdict, direct.verdict);
-    assert_eq!(via.bounds.lower.to_bits(), direct.bounds.lower.to_bits());
-    assert_eq!(via.bounds.upper.to_bits(), direct.bounds.upper.to_bits());
-    assert_eq!(via.screen, direct.screen);
+    // The real certifier behind the cache, cold then warm, reproduces
+    // `stability::certify` exactly on an adaptive PI design.
+    let dir = tmp_dir("real");
+    let plant = plants::unstable_second_order();
+    let hset = IntervalSet::from_timing(0.010, 0.0105, 2).expect("timing");
+    let table = overrun_control::pi::design_adaptive(&plant, &hset).expect("design");
+    let opts = CertifyOptions::default();
+    let direct = stability::certify(&plant, &table, &opts).expect("direct certify");
+    for expect in [stats(0, 1, 0, 0, 0), stats(1, 0, 0, 0, 0)] {
+        let memo = MemoCertifier::open(&dir).expect("open");
+        let via = memo
+            .certify(&plant, &table, &opts)
+            .expect("memoised certify");
+        assert_eq!(memo.stats(), expect);
+        assert_eq!(via.verdict, direct.verdict);
+        assert_eq!(via.bounds.lower.to_bits(), direct.bounds.lower.to_bits());
+        assert_eq!(via.bounds.upper.to_bits(), direct.bounds.upper.to_bits());
+        assert_eq!(via.screen, direct.screen);
+    }
+}
+
+#[test]
+fn cache_io_failure_names_the_path() {
+    let blocker = tmp_dir("io-blocker");
+    std::fs::write(&blocker, "a file, not a directory").expect("write blocker");
+    let dir = blocker.join("cache");
+    let err = MemoCertifier::open(&dir)
+        .err()
+        .expect("a cache under a file must not open");
+    assert!(matches!(err, SweepError::Io { .. }), "{err}");
+    assert!(err.to_string().contains(&*dir.to_string_lossy()), "{err}");
 }

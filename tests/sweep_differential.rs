@@ -1,26 +1,24 @@
-//! Differential oracle for the batch sweep engine: on a randomized grid of
-//! small stable and unstable plants, every replay mode of the engine —
-//! cold cache, warm cache, resumed-after-kill, 1 worker vs 4 workers —
-//! must reproduce the direct `stability::certify` answer bit for bit, and
-//! the Eq.-12 brute-force bounds must stay consistent with the Gripenberg
-//! `[LB, UB]` interval on every scenario.
+//! Differential oracle for the memoising certifier: on a randomized grid of
+//! small stable and unstable plants, every replay mode — cold cache, warm
+//! cache, rerun after a kill, 1 worker vs 4 workers — must reproduce the
+//! direct `stability::certify` answer bit for bit, and the Eq.-12
+//! brute-force bounds must stay consistent with the Gripenberg `[LB, UB]`
+//! interval on every scenario.
 //!
-//! Engine *mechanics* (fault isolation, checkpoint formats, corrupt-record
+//! Memoisation *mechanics* (fault isolation, retry, corrupt-record
 //! replacement) are covered with injected runners in
 //! `crates/sweep/tests/engine_faults.rs`; this file always runs the real
 //! certifier.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use overrun_control::stability::{self, CertifyOptions, StabilityReport};
-use overrun_control::{plants, ContinuousSs};
+use overrun_control::{pi, plants, ContinuousSs, ControllerMode, ControllerTable, IntervalSet};
 use overrun_jsr::StabilityVerdict;
 use overrun_linalg::Matrix;
 use overrun_par::{derive_seed, set_thread_override};
-use overrun_sweep::{
-    run_sweep, DesignPolicy, GridSpec, PreparedScenario, ScenarioRecord, SweepOptions,
-};
+use overrun_sweep::{certification_key, MemoCertifier, SweepStats};
 
 /// The thread override is process-global; every test that touches it holds
 /// this lock and restores the default before releasing it (same idiom as
@@ -56,78 +54,106 @@ fn random_companion_plant(seed: u64) -> ContinuousSs {
     .unwrap()
 }
 
-/// The randomized differential grid: two named plants plus two seeded
-/// random draws, each certified under the adaptive PI design and under a
-/// zero static gain (open loop — certified unstable whenever the plant
-/// is). A reduced Gripenberg budget keeps the oracle fast; the comparison
-/// only needs both sides to run the *same* budget.
-fn differential_grid() -> Vec<PreparedScenario> {
-    let master = 0x5eed_2021_u64;
-    let spec = GridSpec {
-        plants: vec![
-            ("uso".into(), plants::unstable_second_order()),
-            ("dint".into(), plants::double_integrator()),
-            ("rand0".into(), random_companion_plant(derive_seed(master, 0))),
-            ("rand1".into(), random_companion_plant(derive_seed(master, 1))),
-        ],
-        periods: vec![0.010],
-        rmax_factors: vec![1.3],
-        ns_values: vec![2],
-        policies: vec![
-            ("pi-adaptive".into(), DesignPolicy::PiAdaptive),
-            (
-                "zero-gain".into(),
-                DesignPolicy::StaticGain(Matrix::zeros(1, 1)),
-            ),
-        ],
-        opts: CertifyOptions {
-            delta: 1e-4,
-            max_depth: 6,
-            max_products: 50_000,
-            max_power: 3,
-        },
-    };
-    // Random plants may admit no stabilising PI design — those draws are
-    // simply not certifiable problems, so the grid drops them. The zero
-    // gain always designs, so at least half the grid survives.
-    let prepared: Vec<PreparedScenario> =
-        spec.expand().iter().filter_map(|s| s.prepare().ok()).collect();
-    assert!(
-        prepared.len() >= 6,
-        "expected most of the grid to design, got {}",
-        prepared.len()
-    );
-    prepared
+/// One certification problem of the grid.
+struct Scenario {
+    label: String,
+    plant: ContinuousSs,
+    table: ControllerTable,
 }
 
-fn assert_record_matches(record: &ScenarioRecord, direct: &StabilityReport, what: &str) {
-    assert_eq!(record.verdict, direct.verdict, "{what}: verdict");
+/// A reduced Gripenberg budget keeps the oracle fast; the comparison only
+/// needs both sides to run the *same* budget.
+fn budget() -> CertifyOptions {
+    CertifyOptions {
+        delta: 1e-4,
+        max_depth: 6,
+        max_products: 50_000,
+        max_power: 3,
+    }
+}
+
+/// The randomized differential grid: two named plants plus two seeded
+/// random draws at `T = 10 ms`, `Rmax = 1.3 T`, `Ts = T/2`, each under the
+/// adaptive PI design and under a zero static gain (open loop — certified
+/// unstable whenever the plant is).
+fn differential_grid() -> Vec<Scenario> {
+    let master = 0x5eed_2021_u64;
+    let plants = [
+        ("uso", plants::unstable_second_order()),
+        ("dint", plants::double_integrator()),
+        ("rand0", random_companion_plant(derive_seed(master, 0))),
+        ("rand1", random_companion_plant(derive_seed(master, 1))),
+    ];
+    let hset = IntervalSet::from_timing(0.010, 0.013, 2).unwrap();
+    let zero_gain = ControllerMode::static_gain(Matrix::zeros(1, 1)).unwrap();
+    let mut grid = Vec::new();
+    for (name, plant) in plants {
+        // Random plants may admit no stabilising PI design — those draws
+        // are simply not certifiable problems, so the grid drops them. The
+        // zero gain always designs, so at least half the grid survives.
+        if let Ok(table) = pi::design_adaptive(&plant, &hset) {
+            grid.push(Scenario {
+                label: format!("{name} pi-adaptive"),
+                plant: plant.clone(),
+                table,
+            });
+        }
+        grid.push(Scenario {
+            label: format!("{name} zero-gain"),
+            table: ControllerTable::fixed(zero_gain.clone(), hset.clone()).unwrap(),
+            plant,
+        });
+    }
+    assert!(
+        grid.len() >= 6,
+        "expected most of the grid to design, got {}",
+        grid.len()
+    );
+    grid
+}
+
+fn assert_report_matches(got: &StabilityReport, direct: &StabilityReport, what: &str) {
+    assert_eq!(got.verdict, direct.verdict, "{what}: verdict");
     assert_eq!(
-        record.bounds.lower.to_bits(),
+        got.bounds.lower.to_bits(),
         direct.bounds.lower.to_bits(),
         "{what}: lower bound bits"
     );
     assert_eq!(
-        record.bounds.upper.to_bits(),
+        got.bounds.upper.to_bits(),
         direct.bounds.upper.to_bits(),
         "{what}: upper bound bits"
     );
 }
 
+/// Certifies the whole grid through a fresh certifier on `dir`; returns
+/// the reports and the certifier's counters.
+fn memoised(grid: &[Scenario], dir: &Path) -> (Vec<StabilityReport>, SweepStats) {
+    let memo = MemoCertifier::open(dir).expect("open cache");
+    let reports = grid
+        .iter()
+        .map(|s| {
+            memo.certify(&s.plant, &s.table, &budget())
+                .unwrap_or_else(|e| panic!("{}: {e}", s.label))
+        })
+        .collect();
+    (reports, memo.stats())
+}
+
 /// The main oracle: direct certification at one thread is the reference;
-/// the engine must match it bitwise cold, warm, after a simulated kill,
-/// and at four workers.
+/// the memoising certifier must match it bitwise cold, warm, after a
+/// simulated kill, and at four workers.
 #[test]
 fn sweep_replay_modes_match_direct_certification() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
-    let scenarios = differential_grid();
-    let n = scenarios.len();
+    let grid = differential_grid();
+    let n = grid.len() as u64;
 
     // Reference: direct `stability::certify`, serial.
     set_thread_override(Some(1));
-    let direct: Vec<StabilityReport> = scenarios
+    let direct: Vec<StabilityReport> = grid
         .iter()
-        .map(|s| stability::certify(&s.plant, &s.table, &s.opts).expect("direct certify"))
+        .map(|s| stability::certify(&s.plant, &s.table, &budget()).expect("direct certify"))
         .collect();
 
     // The grid genuinely mixes outcomes: the zero-gain scenarios on the
@@ -144,52 +170,44 @@ fn sweep_replay_modes_match_direct_certification() {
         "grid has no certified-unstable scenario"
     );
 
-    // Cold cache, one worker: recomputes everything, matches the direct
+    // Cold cache, one worker: certifies everything, matches the direct
     // answers including the screening statistics (same thread count).
     let dir = tmp_dir("replay");
-    let opts = SweepOptions {
-        cache_dir: Some(dir.clone()),
-        shard_size: 3,
-        resume: true,
-        ..SweepOptions::default()
-    };
-    let cold = run_sweep(&scenarios, &opts).expect("cold sweep");
-    assert_eq!(cold.stats.computed, n as u64);
-    assert_eq!(cold.stats.errors, 0);
-    for (o, d) in cold.outcomes.iter().zip(&direct) {
-        let rec = o.result.as_ref().expect("cold outcome");
-        assert_record_matches(rec, d, "cold");
-        assert_eq!(rec.screen, d.screen, "cold: screen stats at one worker");
+    let (cold, stats) = memoised(&grid, &dir);
+    assert_eq!(
+        (stats.cache_hits, stats.cache_misses, stats.errors),
+        (0, n, 0)
+    );
+    for (c, d) in cold.iter().zip(&direct) {
+        assert_report_matches(c, d, "cold");
+        assert_eq!(c.screen, d.screen, "cold: screen stats at one worker");
     }
 
     // Warm cache: every verdict replays from disk, none recomputes, and
-    // the replayed records still match the direct answers bitwise.
-    let warm = run_sweep(&scenarios, &opts).expect("warm sweep");
-    assert_eq!(warm.stats.cache_hits, n as u64);
-    assert_eq!(warm.stats.computed, 0);
-    for (o, d) in warm.outcomes.iter().zip(&direct) {
-        assert_record_matches(o.result.as_ref().expect("warm outcome"), d, "warm");
+    // the replayed reports still match the direct answers bitwise.
+    let (warm, stats) = memoised(&grid, &dir);
+    assert_eq!((stats.cache_hits, stats.cache_misses), (n, 0));
+    for (w, d) in warm.iter().zip(&direct) {
+        assert_report_matches(w, d, "warm");
     }
 
-    // Simulated kill: drop every record past the first shard and
-    // leave a checkpoint holding only shard 0 plus a torn tail, exactly
-    // what a `kill -9` mid-shard leaves behind. The resumed sweep must
-    // converge to the same bits as the uninterrupted runs.
-    for o in &cold.outcomes[3..] {
-        std::fs::remove_file(dir.join(format!("{}.record", o.key.to_hex())))
-            .expect("remove record");
+    // Simulated kill: drop every record past the third and leave a torn
+    // temp file of the one in flight, what a `kill -9` mid-run leaves
+    // behind. The rerun must converge to the same bits.
+    for s in &grid[3..] {
+        let key = certification_key(&s.plant, &s.table, &budget()).to_hex();
+        std::fs::remove_file(dir.join(format!("{key}.record"))).expect("remove record");
     }
-    let ckpt = dir.join("checkpoint.sweep");
-    let text = std::fs::read_to_string(&ckpt).expect("read checkpoint");
-    let pos = text.find("shard 0 ok\n").expect("has shard 0") + "shard 0 ok\n".len();
-    std::fs::write(&ckpt, format!("{}shard 1 o", &text[..pos])).expect("truncate checkpoint");
-
-    let resumed = run_sweep(&scenarios, &opts).expect("resumed sweep");
-    assert_eq!(resumed.stats.resumed_shards, 1);
-    assert_eq!(resumed.stats.cache_hits, 3);
-    assert_eq!(resumed.stats.computed, n as u64 - 3);
-    for (o, d) in resumed.outcomes.iter().zip(&direct) {
-        assert_record_matches(o.result.as_ref().expect("resumed outcome"), d, "resumed");
+    let key = certification_key(&grid[3].plant, &grid[3].table, &budget()).to_hex();
+    std::fs::write(
+        dir.join(format!(".{key}.1.0.tmp")),
+        "overrun-sweep-record v1\nke",
+    )
+    .expect("torn temp file");
+    let (rerun, stats) = memoised(&grid, &dir);
+    assert_eq!((stats.cache_hits, stats.cache_misses), (3, n - 3));
+    for (r, d) in rerun.iter().zip(&direct) {
+        assert_report_matches(r, d, "rerun after kill");
     }
 
     // Four workers, fresh cache: scheduling must not leak into the
@@ -197,18 +215,10 @@ fn sweep_replay_modes_match_direct_certification() {
     // counts, so only the contract — bounds and verdict — is compared).
     set_thread_override(Some(4));
     let dir4 = tmp_dir("replay-mt");
-    let wide = run_sweep(
-        &scenarios,
-        &SweepOptions {
-            cache_dir: Some(dir4.clone()),
-            shard_size: 3,
-            ..SweepOptions::default()
-        },
-    )
-    .expect("four-worker sweep");
-    assert_eq!(wide.stats.computed, n as u64);
-    for (o, d) in wide.outcomes.iter().zip(&direct) {
-        assert_record_matches(o.result.as_ref().expect("wide outcome"), d, "four workers");
+    let (wide, stats) = memoised(&grid, &dir4);
+    assert_eq!(stats.cache_misses, n);
+    for (w, d) in wide.iter().zip(&direct) {
+        assert_report_matches(w, d, "four workers");
     }
 
     set_thread_override(None);
@@ -225,7 +235,7 @@ fn sweep_replay_modes_match_direct_certification() {
 #[test]
 fn bruteforce_interval_is_consistent_with_gripenberg() {
     for s in differential_grid() {
-        let g = stability::certify(&s.plant, &s.table, &s.opts)
+        let g = stability::certify(&s.plant, &s.table, &budget())
             .expect("certify")
             .bounds;
         let bf = stability::eq12_bounds(&s.plant, &s.table, 4).expect("eq12 bounds");
