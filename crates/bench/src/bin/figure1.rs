@@ -8,6 +8,16 @@
 //! cargo run -p overrun-bench --bin figure1
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "experiment binaries own argv and time their own runs"
+)]
+
 use overrun_bench::{metrics, RunArgs};
 use overrun_rtsim::{render_timeline, trace_to_csv, OverrunPolicy, Span, TimelineOptions};
 

@@ -8,6 +8,16 @@
 //! cargo run -p overrun-bench --bin table2 --release -- --quick # smoke
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "experiment binaries own argv and time their own runs"
+)]
+
 use overrun_bench::{metrics, run_header, RunArgs};
 use overrun_control::plants;
 use overrun_control::scenarios::{format_table2, pmsm_table2_weights, table2_with, CertifyFn};

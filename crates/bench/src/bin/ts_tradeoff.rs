@@ -7,6 +7,16 @@
 //! cargo run -p overrun-bench --bin ts_tradeoff --release
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "experiment binaries own argv and time their own runs"
+)]
+
 use overrun_bench::{metrics, run_header, RunArgs};
 use overrun_control::plants;
 use overrun_control::scenarios::{format_granularity, granularity_sweep_with, CertifyFn};

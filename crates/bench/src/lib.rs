@@ -6,6 +6,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the experiment harness reads `BENCH_JSON`"
+)]
 
 use std::path::PathBuf;
 

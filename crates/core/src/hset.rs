@@ -31,6 +31,7 @@ pub struct IntervalSet {
     sensor_period: f64,
     rmax: f64,
     intervals: Vec<f64>,
+    max_interval: f64,
 }
 
 impl IntervalSet {
@@ -67,11 +68,13 @@ impl IntervalSet {
             .iter()
             .map(|s| s.as_secs_f64())
             .collect();
+        let max_interval = (policy.period() + policy.delta_max(rmax)?).as_secs_f64();
         Ok(IntervalSet {
             period: policy.period().as_secs_f64(),
             sensor_period: policy.sensor_period().as_secs_f64(),
             rmax: rmax.as_secs_f64(),
             intervals,
+            max_interval,
         })
     }
 
@@ -107,7 +110,7 @@ impl IntervalSet {
 
     /// The largest interval `T + Δmax`.
     pub fn max_interval(&self) -> f64 {
-        *self.intervals.last().expect("H is never empty")
+        self.max_interval
     }
 
     /// Index of the mode whose interval matches `h` (to within half a

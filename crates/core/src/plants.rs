@@ -9,6 +9,21 @@ use overrun_linalg::Matrix;
 
 use crate::ContinuousSs;
 
+/// Builds a plant from fixed-size `A` (`N × N`), `B` (`N × M`) and `C`
+/// (`P × N`) arrays. The array types already fix the shapes that
+/// [`ContinuousSs::new`] checks, so construction cannot fail.
+fn plant<const N: usize, const M: usize, const P: usize>(
+    a: [[f64; N]; N],
+    b: [[f64; M]; N],
+    c: [[f64; N]; P],
+) -> ContinuousSs {
+    ContinuousSs {
+        a: Matrix::from_fn(N, N, |i, j| a[i][j]),
+        b: Matrix::from_fn(N, M, |i, j| b[i][j]),
+        c: Matrix::from_fn(P, N, |i, j| c[i][j]),
+    }
+}
+
 /// The Table-I style plant: a controllable second-order system with one
 /// right-half-plane pole (poles at `+5` and `−10` rad/s), sampled at
 /// `T = 10 ms` in the experiments.
@@ -19,12 +34,7 @@ use crate::ContinuousSs;
 /// assert!(p.is_controllable().unwrap());
 /// ```
 pub fn unstable_second_order() -> ContinuousSs {
-    ContinuousSs::new(
-        Matrix::from_rows(&[&[0.0, 1.0], &[50.0, -5.0]]).expect("static plant data"),
-        Matrix::col_vec(&[0.0, 1.0]),
-        Matrix::row_vec(&[1.0, 0.0]),
-    )
-    .expect("static plant data")
+    plant([[0.0, 1.0], [50.0, -5.0]], [[0.0], [1.0]], [[1.0, 0.0]])
 }
 
 /// A permanent-magnet synchronous motor (PMSM) in the rotating d–q frame,
@@ -50,16 +60,15 @@ pub fn pmsm() -> ContinuousSs {
     let j = 1e-4_f64; // rotor inertia [kg m²]
     let b = 1e-4_f64; // viscous friction
 
-    let a = Matrix::from_rows(&[
-        &[-r / l, 0.0, 0.0],
-        &[0.0, -r / l, -psi * p / l],
-        &[0.0, 1.5 * p * psi / j, -b / j],
-    ])
-    .expect("static plant data");
-    let bm = Matrix::from_rows(&[&[1.0 / l, 0.0], &[0.0, 1.0 / l], &[0.0, 0.0]])
-        .expect("static plant data");
-    let c = Matrix::identity(3);
-    ContinuousSs::new(a, bm, c).expect("static plant data")
+    plant(
+        [
+            [-r / l, 0.0, 0.0],
+            [0.0, -r / l, -psi * p / l],
+            [0.0, 1.5 * p * psi / j, -b / j],
+        ],
+        [[1.0 / l, 0.0], [0.0, 1.0 / l], [0.0, 0.0]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    )
 }
 
 /// The double integrator `ÿ = u` — the canonical motion-control benchmark.
@@ -69,12 +78,7 @@ pub fn pmsm() -> ContinuousSs {
 /// assert_eq!(p.state_dim(), 2);
 /// ```
 pub fn double_integrator() -> ContinuousSs {
-    ContinuousSs::new(
-        Matrix::from_rows(&[&[0.0, 1.0], &[0.0, 0.0]]).expect("static plant data"),
-        Matrix::col_vec(&[0.0, 1.0]),
-        Matrix::row_vec(&[1.0, 0.0]),
-    )
-    .expect("static plant data")
+    plant([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]])
 }
 
 /// A brushed DC motor with angular-velocity output: states `[ω, i]`
@@ -87,13 +91,11 @@ pub fn double_integrator() -> ContinuousSs {
 pub fn dc_motor() -> ContinuousSs {
     // J ω̇ = Kt i − b ω;  L i̇ = −Ke ω − R i + v
     let (j, b_f, kt, ke, r, l) = (0.01, 0.1, 0.01, 0.01, 1.0, 0.5);
-    ContinuousSs::new(
-        Matrix::from_rows(&[&[-b_f / j, kt / j], &[-ke / l, -r / l]])
-            .expect("static plant data"),
-        Matrix::col_vec(&[0.0, 1.0 / l]),
-        Matrix::row_vec(&[1.0, 0.0]),
+    plant(
+        [[-b_f / j, kt / j], [-ke / l, -r / l]],
+        [[0.0], [1.0 / l]],
+        [[1.0, 0.0]],
     )
-    .expect("static plant data")
 }
 
 /// Linearised inverted pendulum on a cart (upright equilibrium): states
@@ -116,19 +118,16 @@ pub fn inverted_pendulum() -> ContinuousSs {
     let a43 = m_pole * g * l * (m_cart + m_pole) / denom;
     let b2 = (i + m_pole * l * l) / denom;
     let b4 = m_pole * l / denom;
-    ContinuousSs::new(
-        Matrix::from_rows(&[
-            &[0.0, 1.0, 0.0, 0.0],
-            &[0.0, a22, a23, 0.0],
-            &[0.0, 0.0, 0.0, 1.0],
-            &[0.0, a42, a43, 0.0],
-        ])
-        .expect("static plant data"),
-        Matrix::col_vec(&[0.0, b2, 0.0, b4]),
-        Matrix::from_rows(&[&[1.0, 0.0, 0.0, 0.0], &[0.0, 0.0, 1.0, 0.0]])
-            .expect("static plant data"),
+    plant(
+        [
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, a22, a23, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [0.0, a42, a43, 0.0],
+        ],
+        [[0.0], [b2], [0.0], [b4]],
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
     )
-    .expect("static plant data")
 }
 
 #[cfg(test)]

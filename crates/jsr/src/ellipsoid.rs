@@ -653,8 +653,8 @@ pub fn kronecker_sum_bounds(set: &MatrixSet) -> Result<JsrBounds> {
 mod tests {
     use super::*;
 
-    // Tests return `Result` and use `?`: the panic-freedom ratchet counts
-    // every panic site in the crate, test modules included.
+    // Tests return `Result` and use `?`, so a failure reports the error
+    // that caused it.
     type TestResult = Result<()>;
 
     #[test]

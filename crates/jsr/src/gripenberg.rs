@@ -384,8 +384,8 @@ fn expand_node(
 ) -> Result<Vec<Node>> {
     // The surviving-children vector is the node's return value; it is the
     // one deliberate allocation in the frontier loop (amortised by the
-    // pruning that keeps it short).
-    // lint: allow(hotpath)
+    // pruning that keeps it short). `tests/alloc_free.rs` bounds what a
+    // search may allocate beyond it.
     let mut children = Vec::new();
     for a in set {
         a.matmul_into(&node.product, scratch)?;

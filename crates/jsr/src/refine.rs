@@ -139,9 +139,8 @@ mod tests {
     use super::*;
     use crate::gripenberg;
 
-    // Tests return `Result` and use `?` instead of `unwrap()`: the
-    // panic-freedom ratchet (overrun-lint) counts every panic site in the
-    // crate, test modules included, and this module is burned down to zero.
+    // Tests return `Result` and use `?` instead of `unwrap()`, so a
+    // failure reports the error that caused it.
     type TestResult = Result<()>;
 
     #[test]

@@ -298,10 +298,9 @@ pub fn cheap_spectral_bounds(m: &Matrix) -> CheapSpectralBounds {
             let mut ws = [0.0_f64; STACK_WS];
             (cw_radius, cw_norm_sq) = cw_refine(data, n, scale, &mut ws);
         } else {
-            // Arena fallback for n > MAX_DIM only — matrices the JSR search
-            // never screens, so the allocation is off the hot path by
-            // construction.
-            // lint: allow(hotpath)
+            // Arena fallback for n > MAX_DIM only, so the allocation is
+            // off the small-matrix hot path (`tests/alloc_free.rs` checks
+            // n ≤ MAX_DIM allocates nothing).
             let mut ws = vec![0.0_f64; 3 * n * n + 2 * n];
             (cw_radius, cw_norm_sq) = cw_refine(data, n, scale, &mut ws);
         }

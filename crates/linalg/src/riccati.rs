@@ -243,9 +243,8 @@ mod tests {
     use super::*;
     use crate::spectral_radius;
 
-    // Tests return `Result` and use `?` instead of `unwrap()`: the
-    // panic-freedom ratchet (overrun-lint) counts every panic site in the
-    // crate, test modules included, and this module is burned down to zero.
+    // Tests return `Result` and use `?` instead of `unwrap()`, so a
+    // failure reports the error that caused it.
     type TestResult = std::result::Result<(), Error>;
 
     #[test]

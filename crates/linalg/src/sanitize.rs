@@ -24,6 +24,11 @@
 //! this module is not compiled and the kernels carry no checks at all —
 //! zero code, zero branches.
 
+#![expect(
+    clippy::panic,
+    reason = "the feature's contract is to panic at the op that produced the poison"
+)]
+
 /// Index and value of the first non-finite entry, if any.
 fn first_nonfinite(data: &[f64]) -> Option<(usize, f64)> {
     data.iter()

@@ -396,9 +396,8 @@ fn hqr(mut a: Matrix) -> Result<Vec<Eigenvalue>> {
 mod tests {
     use super::*;
 
-    // Tests return `Result` and use `?` instead of `unwrap()`: the
-    // panic-freedom ratchet (overrun-lint) counts every panic site in the
-    // crate, test modules included, and this module is burned down to zero.
+    // Tests return `Result` and use `?` instead of `unwrap()`, so a
+    // failure reports the error that caused it.
     type TestResult = std::result::Result<(), Error>;
 
     fn sorted_moduli(a: &Matrix) -> Result<Vec<f64>> {

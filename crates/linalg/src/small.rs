@@ -6,8 +6,8 @@
 //! in [`crate::Matrix`] spend a measurable fraction of their time on slice
 //! bounds checks and loop-counter overhead. The kernels here are generic
 //! over the dimension `N`, so the compiler fully unrolls the inner loops
-//! and proves every access in bounds (each row is reborrowed as a
-//! `&[f64; N]`) — no `unsafe` required.
+//! and proves every access in bounds (each buffer is viewed as `N` rows of
+//! `[f64; N]` via `as_chunks`) — no `unsafe` required.
 //!
 //! **Bit-identity contract**: every kernel performs the *same floating-point
 //! operations in the same order* as the generic path it replaces, including
@@ -19,9 +19,10 @@
 /// generic path.
 pub const MAX_DIM: usize = 8;
 
+/// The first `N × N` entries of `data` as `N` rows of length `N`.
 #[inline(always)]
-fn row<const N: usize>(data: &[f64], i: usize) -> &[f64; N] {
-    data[i * N..i * N + N].try_into().expect("row of length N")
+fn rows<const N: usize>(data: &[f64]) -> &[[f64; N]] {
+    data[..N * N].as_chunks::<N>().0
 }
 
 /// Accumulating product `out += a * b` for row-major `N × N` buffers.
@@ -37,17 +38,17 @@ fn row<const N: usize>(data: &[f64], i: usize) -> &[f64; N] {
 // (and thus every rounded bit) is provably the same.
 #[allow(clippy::needless_range_loop)]
 pub fn matmul_acc<const N: usize>(a: &[f64], b: &[f64], out: &mut [f64]) {
+    let (arows, brows) = (rows::<N>(a), rows::<N>(b));
+    let orows = out[..N * N].as_chunks_mut::<N>().0;
     for i in 0..N {
-        let arow = row::<N>(a, i);
-        let orow: &mut [f64; N] = (&mut out[i * N..i * N + N])
-            .try_into()
-            .expect("row of length N");
+        let arow = &arows[i];
+        let orow = &mut orows[i];
         for k in 0..N {
             let a_ik = arow[k];
             if a_ik == 0.0 {
                 continue;
             }
-            let brow = row::<N>(b, k);
+            let brow = &brows[k];
             for j in 0..N {
                 orow[j] += a_ik * brow[j];
             }
@@ -66,9 +67,10 @@ pub fn matmul_acc<const N: usize>(a: &[f64], b: &[f64], out: &mut [f64]) {
 // See `matmul_acc`: index loops keep the generic float operation order.
 #[allow(clippy::needless_range_loop)]
 pub fn mul_vec_acc<const N: usize>(a: &[f64], x: &[f64], out: &mut [f64]) {
-    let xv: &[f64; N] = x[..N].try_into().expect("vector of length N");
+    let xv = &x[..N].as_chunks::<N>().0[0];
+    let arows = rows::<N>(a);
     for i in 0..N {
-        let arow = row::<N>(a, i);
+        let arow = &arows[i];
         let mut acc = out[i];
         for k in 0..N {
             let a_ik = arow[k];
@@ -91,8 +93,7 @@ pub fn mul_vec_acc<const N: usize>(a: &[f64], x: &[f64], out: &mut [f64]) {
 #[inline(always)]
 pub fn fro_sumsq<const N: usize>(a: &[f64], scale: f64) -> f64 {
     let mut sum = 0.0_f64;
-    for i in 0..N {
-        let arow = row::<N>(a, i);
+    for arow in rows::<N>(a) {
         for &x in arow {
             let v = x / scale;
             sum += v * v;

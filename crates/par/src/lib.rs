@@ -27,6 +27,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "owns the audited `OVERRUN_THREADS` read"
+)]
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::thread;
@@ -144,23 +152,20 @@ where
             }));
         }
         for h in handles {
-            // A panic in a worker resurfaces here, unwinding the scope.
-            per_thread.push(h.join().expect("overrun-par worker panicked"));
+            // A panic in a worker resurfaces here with its original
+            // payload, unwinding the scope.
+            match h.join() {
+                Ok(local) => per_thread.push(local),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
     });
 
-    let mut slots: Vec<Option<Result<R, E>>> = (0..items.len()).map(|_| None).collect();
-    for (i, r) in per_thread.into_iter().flatten() {
-        slots[i] = Some(r);
-    }
-    let mut out = Vec::with_capacity(items.len());
-    for slot in slots {
-        match slot.expect("overrun-par: item not computed") {
-            Ok(v) => out.push(v),
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(out)
+    // Every index was computed exactly once; in index order, `collect`
+    // stops at the lowest-index error.
+    let mut pairs: Vec<(usize, Result<R, E>)> = per_thread.into_iter().flatten().collect();
+    pairs.sort_unstable_by_key(|&(i, _)| i);
+    pairs.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Parallel chunked reduction with deterministic, thread-count-independent
@@ -288,6 +293,24 @@ mod tests {
             assert_eq!(r.unwrap_err(), 3, "threads = {threads}");
         }
         set_thread_override(None);
+    }
+
+    #[test]
+    fn worker_panic_keeps_its_payload() {
+        let _g = OVERRIDE_LOCK.lock().unwrap();
+        set_thread_override(Some(4));
+        let items: Vec<usize> = (0..64).collect();
+        let caught = std::panic::catch_unwind(|| {
+            try_parallel_map(&items, |_, &x| {
+                if x == 7 {
+                    panic!("boom at 7");
+                }
+                Ok::<usize, ()>(x)
+            })
+        });
+        set_thread_override(None);
+        let payload = caught.unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom at 7"));
     }
 
     #[test]

@@ -111,17 +111,22 @@ impl OverrunPolicy {
     ///
     /// Returns [`Error::InvalidConfig`] when `rmax` is zero.
     pub fn interval_set(&self, rmax: Span) -> Result<Vec<Span>> {
-        if rmax.is_zero() {
-            return Err(Error::InvalidConfig("Rmax is zero".into()));
-        }
-        let i_max = if rmax <= self.period {
-            0
-        } else {
-            (rmax - self.period).div_ceil(self.sensor_period)
-        };
+        let i_max = self.max_extra_ticks(rmax)?;
         Ok((0..=i_max)
             .map(|i| self.period + self.sensor_period * i)
             .collect())
+    }
+
+    /// `⌈(Rmax − T)/Ts⌉`, the index of the largest interval in `H`.
+    fn max_extra_ticks(&self, rmax: Span) -> Result<u64> {
+        if rmax.is_zero() {
+            return Err(Error::InvalidConfig("Rmax is zero".into()));
+        }
+        Ok(if rmax <= self.period {
+            0
+        } else {
+            (rmax - self.period).div_ceil(self.sensor_period)
+        })
     }
 
     /// Maximum extra delay `Δmax = ⌈(Rmax − T)/Ts⌉ · Ts`.
@@ -130,8 +135,7 @@ impl OverrunPolicy {
     ///
     /// Returns [`Error::InvalidConfig`] when `rmax` is zero.
     pub fn delta_max(&self, rmax: Span) -> Result<Span> {
-        let set = self.interval_set(rmax)?;
-        Ok(*set.last().expect("interval set is never empty") - self.period)
+        Ok(self.sensor_period * self.max_extra_ticks(rmax)?)
     }
 
     /// The deployment check of paper Sec. V-B: a controller certified for

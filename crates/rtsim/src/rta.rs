@@ -35,9 +35,9 @@ pub fn utilization(tasks: &[Task]) -> f64 {
 /// * [`Error::InvalidConfig`] for an empty or invalid task set.
 /// * [`Error::Unschedulable`] when an iteration diverges.
 pub fn response_time_analysis(tasks: &[Task]) -> Result<Vec<Span>> {
-    if tasks.is_empty() {
+    let Some(worst) = tasks.iter().max_by_key(|t| t.priority) else {
         return Err(Error::InvalidConfig("empty task set".into()));
-    }
+    };
     for t in tasks {
         t.validate()?;
     }
@@ -45,10 +45,6 @@ pub fn response_time_analysis(tasks: &[Task]) -> Result<Vec<Span>> {
     // one exists) is meaningless because it only describes the first job of
     // a busy period that never ends.
     if utilization(tasks) > 1.0 + 1e-12 {
-        let worst = tasks
-            .iter()
-            .max_by_key(|t| t.priority)
-            .expect("non-empty set");
         return Err(Error::Unschedulable {
             task: worst.name.clone(),
         });

@@ -160,6 +160,10 @@ impl AddAssign<Span> for Time {
 
 impl Sub<Span> for Time {
     type Output = Time;
+    #[expect(
+        clippy::expect_used,
+        reason = "`Sub` fixes the return type, so an underflow (a caller bug) can only panic"
+    )]
     fn sub(self, rhs: Span) -> Time {
         Time(self.0.checked_sub(rhs.0).expect("time underflow"))
     }
@@ -180,12 +184,20 @@ impl AddAssign for Span {
 
 impl Sub for Span {
     type Output = Span;
+    #[expect(
+        clippy::expect_used,
+        reason = "`Sub` fixes the return type, so an underflow (a caller bug) can only panic"
+    )]
     fn sub(self, rhs: Span) -> Span {
         Span(self.0.checked_sub(rhs.0).expect("span underflow"))
     }
 }
 
 impl SubAssign for Span {
+    #[expect(
+        clippy::expect_used,
+        reason = "`SubAssign` fixes the signature, so an underflow (a caller bug) can only panic"
+    )]
     fn sub_assign(&mut self, rhs: Span) {
         self.0 = self.0.checked_sub(rhs.0).expect("span underflow");
     }

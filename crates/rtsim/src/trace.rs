@@ -50,16 +50,15 @@ impl Default for TimelineOptions {
 pub fn render_timeline(trace: &ReleaseTrace, opts: &TimelineOptions) -> Result<String> {
     trace.check_invariants()?;
     let jobs = &trace.jobs[..trace.jobs.len().min(opts.max_jobs)];
-    if jobs.is_empty() {
-        return Ok(String::from("(empty trace)\n"));
-    }
-    let ts: crate::Span = trace.sensor_period;
-    let cols_per_tick = opts.cols_per_sensor_tick.max(1);
-    let end = jobs
+    let Some(end) = jobs
         .iter()
         .map(|j| (j.release + j.interval).as_nanos().max(j.finish.as_nanos()))
         .max()
-        .expect("non-empty");
+    else {
+        return Ok(String::from("(empty trace)\n"));
+    };
+    let ts: crate::Span = trace.sensor_period;
+    let cols_per_tick = opts.cols_per_sensor_tick.max(1);
     let total_ticks = (end.div_ceil(ts.as_nanos())) as usize + 1;
     let width = total_ticks * cols_per_tick + 1;
 
@@ -67,19 +66,19 @@ pub fn render_timeline(trace: &ReleaseTrace, opts: &TimelineOptions) -> Result<S
         ((ns as u128 * cols_per_tick as u128) / ts.as_nanos() as u128) as usize
     };
 
-    let mut sensing = vec![b' '; width];
+    let mut sensing = vec![' '; width];
     for t in 0..total_ticks {
-        sensing[t * cols_per_tick] = b'|';
+        sensing[t * cols_per_tick] = '|';
     }
 
-    let mut computing = vec![b' '; width];
-    let mut releases = vec![b' '; width];
+    let mut computing = vec![' '; width];
+    let mut releases = vec![' '; width];
     for job in jobs {
         let rel = col_of(job.release.as_nanos());
         let fin = col_of(job.finish.as_nanos());
-        releases[rel.min(width - 1)] = b'^';
+        releases[rel.min(width - 1)] = '^';
         for c in computing.iter_mut().take(fin.min(width - 1) + 1).skip(rel) {
-            *c = b'#';
+            *c = '#';
         }
         // Waiting gap after an overrun: finish .. next release.
         if job.overran {
@@ -89,7 +88,7 @@ pub fn render_timeline(trace: &ReleaseTrace, opts: &TimelineOptions) -> Result<S
                 .take(next_rel.min(width - 1))
                 .skip(fin + 1)
             {
-                *c = b'.';
+                *c = '.';
             }
         }
     }
@@ -106,15 +105,15 @@ pub fn render_timeline(trace: &ReleaseTrace, opts: &TimelineOptions) -> Result<S
         jobs.len(),
         jobs.iter().filter(|j| j.overran).count(),
     ));
-    out.push_str("sensing   ");
-    out.push_str(std::str::from_utf8(&sensing).expect("ascii"));
-    out.push('\n');
-    out.push_str("computing ");
-    out.push_str(std::str::from_utf8(&computing).expect("ascii"));
-    out.push('\n');
-    out.push_str("releases  ");
-    out.push_str(std::str::from_utf8(&releases).expect("ascii"));
-    out.push('\n');
+    for (label, row) in [
+        ("sensing   ", sensing),
+        ("computing ", computing),
+        ("releases  ", releases),
+    ] {
+        out.push_str(label);
+        out.extend(row);
+        out.push('\n');
+    }
     Ok(out)
 }
 
@@ -230,16 +229,16 @@ pub fn gantt(trace: &ScheduleTrace, tasks: &[Task], cols_ns: u64, max_cols: usiz
     let width = ((end / cols_ns) as usize + 1).min(max_cols.max(1));
     let name_width = tasks.iter().map(|t| t.name.len()).max().unwrap_or(4).max(4);
     for (i, task) in tasks.iter().enumerate() {
-        let mut row = vec![b'.'; width];
+        let mut row = vec!['.'; width];
         for job in trace.jobs.iter().filter(|j| j.task.index() == i) {
             let start = (job.release.as_nanos() / cols_ns) as usize;
             let stop = (job.finish.as_nanos() / cols_ns) as usize;
             for c in row.iter_mut().take(stop.min(width - 1) + 1).skip(start.min(width - 1)) {
-                *c = b'#';
+                *c = '#';
             }
         }
         out.push_str(&format!("{:>name_width$} ", task.name));
-        out.push_str(std::str::from_utf8(&row).expect("ascii"));
+        out.extend(row);
         out.push('\n');
     }
     out

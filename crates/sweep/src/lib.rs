@@ -42,13 +42,22 @@
 //! ```
 //!
 //! Unlike the certified numeric crates, this crate *owns* wall-clock and
-//! filesystem access (elapsed metadata, the on-disk cache), so it is
-//! registered in `lint.toml` without the determinism rule — the numeric
-//! results it memoizes remain bit-reproducible because the clock never
-//! feeds the content key.
+//! filesystem access (elapsed metadata, the on-disk cache), so it opts out
+//! of the `clippy.toml` clock bans at its root — the numeric results it
+//! memoizes remain bit-reproducible because the clock never feeds the
+//! content key.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "owns the `elapsed_ms` wall clock; verdicts and bounds never see it"
+)]
 
 mod cache;
 mod certifier;

@@ -1,8 +1,8 @@
 //! Injectable time source for the trace sink.
 //!
 //! The certified numeric crates (`linalg`, `jsr`, `core`, `rtsim`) are
-//! forbidden from reading wall clocks by the `overrun-lint` determinism
-//! rule. Time therefore enters tracing only through a [`Clock`] owned by
+//! forbidden from reading wall clocks by the `clippy.toml` determinism
+//! bans. Time therefore enters tracing only through a [`Clock`] owned by
 //! the process that installs the sink — typically a bench binary — while
 //! library code only ever invokes the macros, which never name a clock.
 

@@ -23,8 +23,8 @@
 //!
 //! ## Determinism
 //!
-//! The certified numeric crates must not read wall clocks (`overrun-lint`
-//! bans `Instant` there). This crate keeps them compliant: instrumented
+//! The certified numeric crates must not read wall clocks (`clippy.toml`
+//! bans `Instant` workspace-wide; this crate opts out at its root). This crate keeps them compliant: instrumented
 //! code only names the macros; time enters solely through the injected
 //! [`Clock`] owned by the binary. The default [`NoopClock`] stamps every
 //! event `0`, giving byte-reproducible traces in tests. Enabling tracing
@@ -40,6 +40,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "owns the wall clock: `MonotonicClock` is the one place time enters"
+)]
 
 mod clock;
 mod counter;

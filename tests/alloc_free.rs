@@ -1,0 +1,261 @@
+//! Allocation audit of the hot paths: the kernels and loops that run once
+//! per product-tree node, Newton step or simulated job must reuse
+//! caller-provided buffers.
+//!
+//! A counting global allocator tallies every allocation made on the
+//! calling thread, callees included, so a helper that starts allocating is
+//! caught as surely as an allocation written into the hot path itself.
+//! Counts are per thread, so the test harness running tests concurrently
+//! does not disturb them.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+
+use overrun_control::prelude::*;
+use overrun_control::scenarios::pmsm_table2_weights;
+use overrun_control::sim::{ClosedLoopSim, SimScenario};
+use overrun_jsr::{
+    gripenberg_with_stats, optimize_ellipsoid, EllipsoidOptions, GripenbergOptions, MatrixSet,
+};
+use overrun_linalg::{cheap_spectral_bounds, norm_2, spectral_radius, Matrix};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Forwards to the system allocator, counting allocations per thread.
+struct CountingAllocator;
+
+fn count_one() {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract. The only addition is a bump of a
+// const-initialised, destructor-free thread-local `Cell`, which neither
+// allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Allocations made on this thread while `f` runs, and its result.
+fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// A dense `n × n` test matrix with irregular entries and a few exact
+/// zeros (so the kernels' zero-skip paths run too).
+fn test_matrix(n: usize, salt: usize) -> Matrix {
+    Matrix::from_fn(n, n, |i, j| {
+        let h = (i * 31 + j * 17 + salt * 7) % 23;
+        if h == 0 {
+            0.0
+        } else {
+            (h as f64 - 11.0) / 7.0
+        }
+    })
+}
+
+/// The Table-II lifted matrix set for the `Rmax = 1.3 T`, `Ns = 2` cell.
+fn table2_set() -> MatrixSet {
+    let plant = plants::pmsm();
+    let t = 50e-6;
+    let hset = IntervalSet::from_timing(t, 1.3 * t, 2).unwrap();
+    let table = lqr::design_adaptive(&plant, &hset, &pmsm_table2_weights()).unwrap();
+    let meas = lifted::measurement_matrix(&plant, &table).unwrap();
+    MatrixSet::new(lifted::build_omega_set(&plant, &table, &meas).unwrap()).unwrap()
+}
+
+/// `matmul_into`, `matmul_add_into`, `mul_vec_into`, `mul_vec_acc_into`,
+/// `scale_in_place` and `cheap_spectral_bounds` (the JSR screening
+/// bracket) never allocate for the fixed-size kernel dimensions n ≤ 8.
+#[test]
+fn matrix_kernels_allocate_nothing() {
+    for n in 1..=overrun_linalg::small::MAX_DIM {
+        let a = test_matrix(n, 1);
+        let b = test_matrix(n, 2);
+        let x: Vec<f64> = (0..n).map(|i| i as f64 - 1.5).collect();
+        let mut out = Matrix::zeros(n, n);
+        let mut v = vec![0.0; n];
+        let (count, ()) = allocations(|| {
+            a.matmul_into(&b, &mut out).unwrap();
+            a.matmul_add_into(&b, &mut out).unwrap();
+            a.mul_vec_into(&x, &mut v).unwrap();
+            a.mul_vec_acc_into(&x, &mut v).unwrap();
+            out.scale_in_place(0.5);
+            black_box(cheap_spectral_bounds(&out));
+        });
+        assert_eq!(count, 0, "n = {n}");
+    }
+}
+
+/// Both `step_into`s — the plant update and the controller update of one
+/// simulated job — write into caller buffers only.
+#[test]
+fn step_into_allocates_nothing() {
+    // The Table-I PI loop: a dynamic controller, so both the state and
+    // the output update of `ControllerMode::step_into` run.
+    let plant = plants::unstable_second_order();
+    let hset = IntervalSet::from_timing(0.010, 0.013, 2).unwrap();
+    let dss = plant.discretize(hset.period()).unwrap();
+    let table = pi::design_adaptive(&plant, &hset).unwrap();
+    let mode = table.mode(1);
+    assert!(mode.state_dim() > 0);
+
+    let x = vec![0.3; dss.state_dim()];
+    let u = vec![-0.2; dss.input_dim()];
+    let mut scratch = vec![0.0; dss.state_dim()];
+    let mut x_next = vec![0.0; dss.state_dim()];
+    let z = vec![0.1; mode.state_dim()];
+    let e = vec![0.4; mode.error_dim()];
+    let mut ctl_scratch = vec![0.0; mode.state_dim().max(mode.output_dim())];
+    let mut z_next = vec![0.0; mode.state_dim()];
+    let mut u_next = vec![0.0; mode.output_dim()];
+    let (count, ()) = allocations(|| {
+        dss.step_into(&x, &u, &mut scratch, &mut x_next).unwrap();
+        mode.step_into(&z, &e, &mut ctl_scratch, &mut z_next, &mut u_next)
+            .unwrap();
+    });
+    assert_eq!(count, 0);
+}
+
+/// `run_cost` and `run_cost_with_initial_mode` allocate a fixed set of
+/// buffers up front and nothing per job: 1000 jobs cost exactly as many
+/// allocations as 10.
+#[test]
+fn run_cost_allocations_do_not_grow_with_jobs() {
+    let plant = plants::pmsm();
+    let hset = IntervalSet::from_timing(50e-6, 1.3 * 50e-6, 2).unwrap();
+    let table = lqr::design_adaptive(&plant, &hset, &pmsm_table2_weights()).unwrap();
+    let sim = ClosedLoopSim::new(&plant, &table).unwrap();
+    let scenario = SimScenario::regulation(Matrix::col_vec(&[1.0, -0.5, 2.0]), 3);
+    let modes =
+        |jobs: usize| -> Vec<usize> { (0..jobs).map(|k| usize::from(k % 3 == 1)).collect() };
+    let (short, long) = (modes(10), modes(1000));
+
+    let (a10, r10) = allocations(|| sim.run_cost(&scenario, &short).unwrap());
+    let (a1000, r1000) = allocations(|| sim.run_cost(&scenario, &long).unwrap());
+    assert!(!r10.diverged && !r1000.diverged);
+    assert_eq!(a10, a1000, "run_cost: 10 jobs vs 1000 jobs");
+
+    let (b10, _) = allocations(|| {
+        sim.run_cost_with_initial_mode(&scenario, &short, 1)
+            .unwrap()
+    });
+    let (b1000, _) = allocations(|| sim.run_cost_with_initial_mode(&scenario, &long, 1).unwrap());
+    assert_eq!(
+        b10, b1000,
+        "run_cost_with_initial_mode: 10 jobs vs 1000 jobs"
+    );
+}
+
+/// The ellipsoid solver sets up its workspace once: a budget of 3, 30 or
+/// 300 Newton steps costs the same number of allocations, so
+/// `newton_step` itself allocates nothing.
+#[test]
+fn newton_steps_allocate_nothing() {
+    let set = table2_set();
+    let counts: Vec<u64> = [3, 30, 300]
+        .iter()
+        .map(|&max_newton_steps| {
+            let opts = EllipsoidOptions { max_newton_steps };
+            allocations(|| optimize_ellipsoid(&set, &opts).unwrap()).0
+        })
+        .collect();
+    assert!(
+        counts.iter().all(|&c| c == counts[0]),
+        "allocations at 3/30/300 Newton steps: {counts:?}"
+    );
+}
+
+/// Gripenberg's `expand_node` allocates by design: each surviving child
+/// owns its normalised product, the children vector grows as they are
+/// pushed, and the exact `norm_2`/`spectral_radius` evaluations build
+/// their Schur workspaces. A serial screened search may allocate for
+/// exactly that and the search's own per-depth buffers — nothing per
+/// screened node, and nothing else per expanded node.
+#[test]
+fn expand_node_allocates_only_for_survivors_and_exact_evaluations() {
+    // Two 6 × 6 matrices: inside the fixed-size screening kernels
+    // (n ≤ 8), with a tree deep and bushy enough that most nodes are
+    // screened out.
+    let set = MatrixSet::new(vec![test_matrix(6, 1), test_matrix(6, 2)]).unwrap();
+    let opts = GripenbergOptions {
+        delta: 1e-6,
+        max_depth: 8,
+        max_products: 100_000,
+        precondition: false,
+        ellipsoid: false,
+        screen: true,
+    };
+    // Serial, so every allocation lands on this thread's count. No other
+    // test here measures code that reads the thread count.
+    overrun_par::set_thread_override(Some(1));
+    let (count, result) = allocations(|| gripenberg_with_stats(&set, &opts));
+    overrun_par::set_thread_override(None);
+    let stats = result.unwrap().1;
+    assert!(
+        stats.schur_skipped() > stats.schur_evals(),
+        "search is screened: {stats}"
+    );
+
+    // Per-call costs of the exact evaluations, measured on products the
+    // search forms (the worst case over all length-2 and length-3 words).
+    let pairs: Vec<Matrix> = set
+        .iter()
+        .flat_map(|a| set.iter().map(move |b| a.matmul(b).unwrap()))
+        .collect();
+    let triples: Vec<Matrix> = pairs
+        .iter()
+        .flat_map(|ab| set.iter().map(move |c| ab.matmul(c).unwrap()))
+        .collect();
+    let words = [pairs, triples].concat();
+    let norm_cost = words
+        .iter()
+        .map(|w| allocations(|| black_box(norm_2(w))).0)
+        .max()
+        .unwrap();
+    let rho_cost = words
+        .iter()
+        .map(|w| allocations(|| black_box(spectral_radius(w).unwrap())).0)
+        .max()
+        .unwrap();
+
+    let m = set.len() as u64;
+    let exact = norm_cost * stats.exact_norms + rho_cost * stats.exact_eigs;
+    // A child survives only after its exact norm ran; it then costs its
+    // product and at most one growth of the children vector.
+    let survivors = 2 * stats.exact_norms;
+    // Depth-1 products, the frontier and scratch buffers, and one
+    // next-frontier vector per deeper level.
+    let search = m + 2 + opts.max_depth as u64;
+    let allowed = exact + survivors + search;
+    assert!(
+        count <= allowed,
+        "{count} allocations > {allowed} allowed \
+         ({norm_cost}/norm_2, {rho_cost}/spectral_radius; {stats})"
+    );
+}

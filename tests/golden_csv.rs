@@ -12,6 +12,11 @@
 //! UPDATE_GOLDEN=1 cargo test -p overrun-bench --test golden_csv
 //! ```
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "`UPDATE_GOLDEN` opts in to rewriting the snapshots"
+)]
+
 use std::path::PathBuf;
 
 use overrun_control::plants;
