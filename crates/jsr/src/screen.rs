@@ -24,7 +24,7 @@
 //! exact path.
 
 use overrun_linalg::{cheap_spectral_bounds, Matrix};
-use overrun_trace::CounterBundle;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Evaluation counters of a product-tree search: how many exact
 /// (Schur-based) evaluations ran versus how many the cheap certified
@@ -109,76 +109,70 @@ impl std::fmt::Display for ScreenStats {
     }
 }
 
-/// Counter slot indices in the shared [`CounterBundle`]. The emitted
-/// counter names double as the trace-counter names, so a `--trace` run
-/// reports the screening economy without any extra plumbing.
-const NODES: usize = 0;
-const EXACT_NORMS: usize = 1;
-const CACHED_NORMS: usize = 2;
-const EXACT_EIGS: usize = 3;
-const SKIPPED_NORMS: usize = 4;
-const SKIPPED_EIGS: usize = 5;
-
 /// Thread-safe accumulation of [`ScreenStats`] counters: the parallel
-/// frontier expansion increments from worker threads. Built on the trace
-/// layer's [`CounterBundle`] (relaxed atomics, read after the join); with
-/// the `trace` feature on, [`ScreenCounters::snapshot`] also emits the
-/// totals into the active sink as counter deltas.
-#[derive(Debug)]
-pub(crate) struct ScreenCounters(CounterBundle<6>);
+/// frontier expansion increments from worker threads (relaxed atomics,
+/// read after the join). [`ScreenCounters::snapshot`] also emits the
+/// totals into the trace sink as the `jsr.screen.*` counters, so a
+/// `--trace` run reports the screening economy without extra plumbing.
+#[derive(Debug, Default)]
+pub(crate) struct ScreenCounters {
+    nodes: AtomicU64,
+    exact_norms: AtomicU64,
+    cached_norms: AtomicU64,
+    exact_eigs: AtomicU64,
+    skipped_norms: AtomicU64,
+    skipped_eigs: AtomicU64,
+}
 
-impl Default for ScreenCounters {
-    fn default() -> Self {
-        Self(CounterBundle::new([
-            "jsr.screen.nodes",
-            "jsr.screen.exact_norms",
-            "jsr.screen.cached_norms",
-            "jsr.screen.exact_eigs",
-            "jsr.screen.skipped_norms",
-            "jsr.screen.skipped_eigs",
-        ]))
-    }
+fn bump(c: &AtomicU64) {
+    c.fetch_add(1, Ordering::Relaxed);
 }
 
 impl ScreenCounters {
     pub(crate) fn node(&self) {
-        self.0.incr(NODES);
+        bump(&self.nodes);
     }
 
     pub(crate) fn exact_norm(&self) {
-        self.0.incr(EXACT_NORMS);
+        bump(&self.exact_norms);
     }
 
     pub(crate) fn cached_norm(&self) {
-        self.0.incr(CACHED_NORMS);
+        bump(&self.cached_norms);
     }
 
     pub(crate) fn exact_eig(&self) {
-        self.0.incr(EXACT_EIGS);
+        bump(&self.exact_eigs);
     }
 
     pub(crate) fn skip_norm(&self) {
-        self.0.incr(SKIPPED_NORMS);
+        bump(&self.skipped_norms);
     }
 
     pub(crate) fn skip_eig(&self) {
-        self.0.incr(SKIPPED_EIGS);
+        bump(&self.skipped_eigs);
     }
 
     /// Snapshots the counters into a [`ScreenStats`] with the given lower
     /// bound provenance, and forwards the totals to the trace sink (a
-    /// no-op unless the `trace` feature is on and a sink is installed).
+    /// no-op unless a sink is installed).
     pub(crate) fn snapshot(&self, lb_depth: usize) -> ScreenStats {
-        self.0.emit();
-        ScreenStats {
-            nodes: self.0.get(NODES),
-            exact_norms: self.0.get(EXACT_NORMS),
-            cached_norms: self.0.get(CACHED_NORMS),
-            exact_eigs: self.0.get(EXACT_EIGS),
-            skipped_norms: self.0.get(SKIPPED_NORMS),
-            skipped_eigs: self.0.get(SKIPPED_EIGS),
+        let s = ScreenStats {
+            nodes: self.nodes.load(Ordering::Relaxed),
+            exact_norms: self.exact_norms.load(Ordering::Relaxed),
+            cached_norms: self.cached_norms.load(Ordering::Relaxed),
+            exact_eigs: self.exact_eigs.load(Ordering::Relaxed),
+            skipped_norms: self.skipped_norms.load(Ordering::Relaxed),
+            skipped_eigs: self.skipped_eigs.load(Ordering::Relaxed),
             lb_depth,
-        }
+        };
+        overrun_trace::counter!("jsr.screen.nodes", s.nodes);
+        overrun_trace::counter!("jsr.screen.exact_norms", s.exact_norms);
+        overrun_trace::counter!("jsr.screen.cached_norms", s.cached_norms);
+        overrun_trace::counter!("jsr.screen.exact_eigs", s.exact_eigs);
+        overrun_trace::counter!("jsr.screen.skipped_norms", s.skipped_norms);
+        overrun_trace::counter!("jsr.screen.skipped_eigs", s.skipped_eigs);
+        s
     }
 }
 

@@ -289,18 +289,17 @@ pub fn cheap_spectral_bounds(m: &Matrix) -> CheapSpectralBounds {
         let n = rows;
         // This sits on the screening hot path: the bracket only pays for
         // itself if it stays well below the exact Schur evaluations it
-        // replaces, so the kernel-sized range (n ≤ MAX_DIM — every matrix
-        // the JSR searches actually screen) runs entirely on the stack and
-        // larger matrices take a single arena allocation.
-        const STACK_WS: usize =
-            3 * crate::small::MAX_DIM * crate::small::MAX_DIM + 2 * crate::small::MAX_DIM;
-        if 3 * n * n + 2 * n <= STACK_WS {
+        // replaces, so n ≤ STACK_DIM (which covers the 9 × 9 lifted sets
+        // of Table II) runs entirely on the stack and larger matrices take
+        // a single arena allocation.
+        const STACK_DIM: usize = 12;
+        const STACK_WS: usize = 3 * STACK_DIM * STACK_DIM + 2 * STACK_DIM;
+        if n <= STACK_DIM {
             let mut ws = [0.0_f64; STACK_WS];
             (cw_radius, cw_norm_sq) = cw_refine(data, n, scale, &mut ws);
         } else {
-            // Arena fallback for n > MAX_DIM only, so the allocation is
-            // off the small-matrix hot path (`tests/alloc_free.rs` checks
-            // n ≤ MAX_DIM allocates nothing).
+            // Arena fallback for n > STACK_DIM only (`tests/alloc_free.rs`
+            // checks n ≤ STACK_DIM allocates nothing).
             let mut ws = vec![0.0_f64; 3 * n * n + 2 * n];
             (cw_radius, cw_norm_sq) = cw_refine(data, n, scale, &mut ws);
         }

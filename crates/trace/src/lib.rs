@@ -1,9 +1,9 @@
-//! # overrun-trace — zero-cost structured tracing for the overrun workspace
+//! # overrun-trace — structured tracing for the overrun workspace
 //!
 //! Spans, monotonic counters, fixed-bucket histograms, and progress
 //! events for the long-running pipelines (Gripenberg certification,
-//! Monte Carlo cost evaluation, controller-table synthesis), compiled to
-//! **zero code unless the `trace` cargo feature is enabled**.
+//! Monte Carlo cost evaluation, controller-table synthesis). Always
+//! compiled in; events are recorded only while a sink is installed.
 //!
 //! ```ignore
 //! let _sp = overrun_trace::span!("jsr.depth", depth = d, frontier = frontier.len());
@@ -12,14 +12,12 @@
 //! overrun_trace::progress!("jsr.lb", lb);
 //! ```
 //!
-//! With `trace` **off** (the default) every macro expands to an inert
-//! expression — field arguments are captured by a never-called closure so
-//! they type-check and stay "used", but nothing is evaluated and no trace
-//! machinery exists in the binary. With `trace` **on**, events land in a
-//! thread-local buffer that drains into a process-wide sink; the binary
-//! that owns the run calls [`install`] with a [`Clock`] before the work
-//! and [`finish`] after it to obtain the [`Trace`] (JSONL export, span
-//! tree, counter totals).
+//! Every macro expands to `if is_active() { … }`: with no sink installed a
+//! call site costs one relaxed atomic load and its arguments are not
+//! evaluated. With a sink installed, events land in a thread-local buffer
+//! that drains into a process-wide sink; the binary that owns the run
+//! calls [`install`] with a [`Clock`] before the work and [`finish`] after
+//! it to obtain the [`Trace`] (JSONL export, span tree, counter totals).
 //!
 //! ## Determinism
 //!
@@ -51,111 +49,74 @@
 )]
 
 mod clock;
-mod counter;
 mod event;
 mod json;
 mod report;
 mod sink;
 
-#[cfg(feature = "trace")]
-pub use clock::MonotonicClock;
-pub use clock::{Clock, NoopClock};
-pub use counter::CounterBundle;
+pub use clock::{Clock, MonotonicClock, NoopClock};
 pub use event::{Event, Hist, Name, HIST_BUCKETS};
 pub use report::{SpanBalance, SpanNode, Trace};
 pub use sink::{finish, flush_thread, install, is_active, SpanGuard};
 
-#[cfg(feature = "trace")]
 #[doc(hidden)]
 pub use sink::{__counter, __histogram, __progress, __span_open};
 
 /// Opens a span; dropping the returned guard closes it.
 ///
 /// `span!("name")` or `span!("name", key = expr, ...)` — field values are
-/// converted with `as f64`. Bind the result: `let _sp = span!("phase");`.
-/// Field expressions must be side-effect free: with the `trace` feature
-/// off they are captured, never evaluated.
-#[cfg(feature = "trace")]
+/// converted with `as f64` and evaluated only while a sink is installed.
+/// Bind the result: `let _sp = span!("phase");`.
 #[macro_export]
 macro_rules! span {
     ($name:literal $(, $key:ident = $value:expr)* $(,)?) => {
-        $crate::__span_open($name, &[$((stringify!($key), ($value) as f64)),*])
+        if $crate::is_active() {
+            $crate::__span_open($name, &[$((stringify!($key), ($value) as f64)),*])
+        } else {
+            $crate::SpanGuard::noop()
+        }
     };
-}
-
-/// Inert expansion: captures the field expressions without evaluating
-/// them and yields a no-op guard.
-#[cfg(not(feature = "trace"))]
-#[macro_export]
-macro_rules! span {
-    ($name:literal $(, $key:ident = $value:expr)* $(,)?) => {{
-        $(let _ = || ($value);)*
-        $crate::SpanGuard::noop()
-    }};
 }
 
 /// Adds `delta` (a `u64`) to the named monotonic counter.
 ///
 /// Batch at natural boundaries (per chunk, per depth) rather than per
-/// iteration; the delta expression must be side-effect free.
-#[cfg(feature = "trace")]
+/// iteration; the delta expression is evaluated only while a sink is
+/// installed.
 #[macro_export]
 macro_rules! counter {
     ($name:literal, $delta:expr $(,)?) => {
-        $crate::__counter($name, $delta)
+        if $crate::is_active() {
+            $crate::__counter($name, $delta)
+        }
     };
-}
-
-/// Inert expansion: captures the delta expression without evaluating it.
-#[cfg(not(feature = "trace"))]
-#[macro_export]
-macro_rules! counter {
-    ($name:literal, $delta:expr $(,)?) => {{
-        let _ = || ($delta);
-    }};
 }
 
 /// Records one sample into the named log-scale histogram.
-#[cfg(feature = "trace")]
 #[macro_export]
 macro_rules! histogram {
     ($name:literal, $value:expr $(,)?) => {
-        $crate::__histogram($name, ($value) as f64)
+        if $crate::is_active() {
+            $crate::__histogram($name, ($value) as f64)
+        }
     };
-}
-
-/// Inert expansion: captures the sample expression without evaluating it.
-#[cfg(not(feature = "trace"))]
-#[macro_export]
-macro_rules! histogram {
-    ($name:literal, $value:expr $(,)?) => {{
-        let _ = || ($value);
-    }};
 }
 
 /// Records a time-stamped progress observation (best bound so far,
-/// residual, ...). The aggregator keeps the latest value per name.
-#[cfg(feature = "trace")]
+/// residual, ...) into the event stream.
 #[macro_export]
 macro_rules! progress {
     ($name:literal, $value:expr $(,)?) => {
-        $crate::__progress($name, ($value) as f64)
+        if $crate::is_active() {
+            $crate::__progress($name, ($value) as f64)
+        }
     };
-}
-
-/// Inert expansion: captures the value expression without evaluating it.
-#[cfg(not(feature = "trace"))]
-#[macro_export]
-macro_rules! progress {
-    ($name:literal, $value:expr $(,)?) => {{
-        let _ = || ($value);
-    }};
 }
 
 #[cfg(test)]
 mod macro_tests {
     #[test]
-    fn macros_expand_in_both_feature_modes() {
+    fn macros_expand_in_statement_position() {
         let n = 3usize;
         let _sp = crate::span!("test.span", items = n, fixed = 2.5);
         crate::counter!("test.counter", n as u64);
@@ -163,13 +124,13 @@ mod macro_tests {
         crate::progress!("test.progress", 1.0 + n as f64);
     }
 
-    #[cfg(not(feature = "trace"))]
     #[test]
-    fn feature_off_macros_do_not_evaluate_arguments() {
+    fn macros_do_not_evaluate_arguments_without_a_sink() {
         fn boom() -> f64 {
-            // Will never run: inert macros only capture their arguments.
-            unreachable!("argument was evaluated with trace off")
+            // Will never run: no test in this binary installs a sink.
+            unreachable!("argument was evaluated with no sink installed")
         }
+        assert!(!crate::is_active());
         let _sp = crate::span!("test.span", v = boom());
         crate::counter!("test.counter", boom() as u64);
         crate::histogram!("test.hist", boom());

@@ -1,4 +1,4 @@
-//! The process-wide event sink (feature `trace`) and its inert stubs.
+//! The process-wide event sink.
 //!
 //! Design: recording threads append to a thread-local buffer (no lock on
 //! the hot path) which drains into one global `Mutex<Vec<Event>>` when it
@@ -7,15 +7,13 @@
 //! [`install`] starts a new epoch — stale thread-local buffers from an
 //! earlier epoch self-clear on their next record — and [`finish`] swaps
 //! the sink off and returns everything collected as a [`Trace`].
-//!
-//! With the `trace` feature off this module shrinks to a handful of inert
-//! functions so callers (the bench harness, `overrun-par`) compile
-//! unchanged while instrumented code costs nothing.
 
-#[cfg(not(feature = "trace"))]
 use crate::clock::Clock;
-#[cfg(not(feature = "trace"))]
+use crate::event::{Event, Hist, Name};
 use crate::report::Trace;
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// RAII guard returned by `span!`; dropping it closes the span.
 ///
@@ -24,349 +22,274 @@ use crate::report::Trace;
 #[must_use = "bind the guard (`let _sp = span!(...)`); dropping it closes the span"]
 #[derive(Debug)]
 pub struct SpanGuard {
-    #[cfg(feature = "trace")]
     id: Option<u64>,
 }
 
 impl SpanGuard {
     /// A guard that records nothing on drop.
     pub const fn noop() -> Self {
-        Self {
-            #[cfg(feature = "trace")]
-            id: None,
-        }
+        Self { id: None }
     }
 }
 
-#[cfg(feature = "trace")]
-pub use active::{__counter, __histogram, __progress, __span_open, finish, flush_thread, install, is_active};
+/// Thread-local buffers drain to the global sink past this many events.
+const FLUSH_THRESHOLD: usize = 4096;
 
-#[cfg(feature = "trace")]
-mod active {
-    use super::SpanGuard;
-    use crate::clock::Clock;
-    use crate::event::{Event, Hist, Name};
-    use crate::report::Trace;
-    use std::cell::RefCell;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, MutexGuard};
+static ACTIVE: AtomicBool = AtomicBool::new(false);
+static EPOCH: AtomicU64 = AtomicU64::new(0);
+static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
+static GLOBAL: Mutex<Vec<Event>> = Mutex::new(Vec::new());
+static CLOCK: Mutex<Option<Arc<dyn Clock>>> = Mutex::new(None);
 
-    /// Thread-local buffers drain to the global sink past this many events.
-    const FLUSH_THRESHOLD: usize = 4096;
+fn lock_global() -> MutexGuard<'static, Vec<Event>> {
+    match GLOBAL.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
 
-    static ACTIVE: AtomicBool = AtomicBool::new(false);
-    static EPOCH: AtomicU64 = AtomicU64::new(0);
-    static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
-    static GLOBAL: Mutex<Vec<Event>> = Mutex::new(Vec::new());
-    static CLOCK: Mutex<Option<Arc<dyn Clock>>> = Mutex::new(None);
+fn lock_clock() -> MutexGuard<'static, Option<Arc<dyn Clock>>> {
+    match CLOCK.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
 
-    fn lock_global() -> MutexGuard<'static, Vec<Event>> {
-        match GLOBAL.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
+struct LocalBuf {
+    epoch: u64,
+    clock: Option<Arc<dyn Clock>>,
+    events: Vec<Event>,
+    stack: Vec<u64>,
+    hists: Vec<(&'static str, Hist)>,
+}
+
+impl LocalBuf {
+    const fn empty() -> Self {
+        Self {
+            epoch: 0,
+            clock: None,
+            events: Vec::new(),
+            stack: Vec::new(),
+            hists: Vec::new(),
         }
     }
 
-    fn lock_clock() -> MutexGuard<'static, Option<Arc<dyn Clock>>> {
-        match CLOCK.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
+    /// Re-arms the buffer when `install` started a new epoch since the
+    /// last record: stale events are discarded, the clock re-fetched.
+    fn sync(&mut self) {
+        let current = EPOCH.load(Ordering::Acquire);
+        if self.epoch != current {
+            self.events.clear();
+            self.stack.clear();
+            self.hists.clear();
+            self.clock = lock_clock().clone();
+            self.epoch = current;
         }
     }
 
-    struct LocalBuf {
-        epoch: u64,
-        clock: Option<Arc<dyn Clock>>,
-        events: Vec<Event>,
-        stack: Vec<u64>,
-        hists: Vec<(&'static str, Hist)>,
-    }
-
-    impl LocalBuf {
-        const fn empty() -> Self {
-            Self {
-                epoch: 0,
-                clock: None,
-                events: Vec::new(),
-                stack: Vec::new(),
-                hists: Vec::new(),
-            }
-        }
-
-        /// Re-arms the buffer when `install` started a new epoch since the
-        /// last record: stale events are discarded, the clock re-fetched.
-        fn sync(&mut self) {
-            let current = EPOCH.load(Ordering::Acquire);
-            if self.epoch != current {
-                self.events.clear();
-                self.stack.clear();
-                self.hists.clear();
-                self.clock = lock_clock().clone();
-                self.epoch = current;
-            }
-        }
-
-        fn now(&self) -> u64 {
-            match &self.clock {
-                Some(c) => c.now_ns(),
-                None => 0,
-            }
-        }
-
-        fn flush(&mut self) {
-            if self.epoch != EPOCH.load(Ordering::Acquire) {
-                // Stale epoch: the run these events belonged to is gone.
-                self.events.clear();
-                self.hists.clear();
-                return;
-            }
-            if self.events.is_empty() && self.hists.is_empty() {
-                return;
-            }
-            let mut global = lock_global();
-            global.append(&mut self.events);
-            for (name, hist) in self.hists.drain(..) {
-                global.push(Event::Hist {
-                    name: Name::Borrowed(name),
-                    hist: Box::new(hist),
-                });
-            }
-        }
-
-        fn maybe_flush(&mut self) {
-            if self.events.len() >= FLUSH_THRESHOLD {
-                self.flush();
-            }
+    fn now(&self) -> u64 {
+        match &self.clock {
+            Some(c) => c.now_ns(),
+            None => 0,
         }
     }
 
-    impl Drop for LocalBuf {
-        fn drop(&mut self) {
+    fn flush(&mut self) {
+        if self.epoch != EPOCH.load(Ordering::Acquire) {
+            // Stale epoch: the run these events belonged to is gone.
+            self.events.clear();
+            self.hists.clear();
+            return;
+        }
+        if self.events.is_empty() && self.hists.is_empty() {
+            return;
+        }
+        let mut global = lock_global();
+        global.append(&mut self.events);
+        for (name, hist) in self.hists.drain(..) {
+            global.push(Event::Hist {
+                name: Name::Borrowed(name),
+                hist: Box::new(hist),
+            });
+        }
+    }
+
+    fn maybe_flush(&mut self) {
+        if self.events.len() >= FLUSH_THRESHOLD {
             self.flush();
         }
     }
+}
 
-    thread_local! {
-        static TLS: RefCell<LocalBuf> = const { RefCell::new(LocalBuf::empty()) };
-    }
-
-    /// Whether a sink is currently installed. Cheap (one relaxed load);
-    /// use it to guard event construction that is itself non-trivial.
-    #[inline]
-    pub fn is_active() -> bool {
-        ACTIVE.load(Ordering::Relaxed)
-    }
-
-    /// Installs the global sink with the given clock and starts a new
-    /// epoch. Returns `false` (and changes nothing) if a sink is already
-    /// active. Call from the thread that owns the run, before spawning
-    /// workers.
-    pub fn install<C: Clock + 'static>(clock: C) -> bool {
-        let mut slot = lock_clock();
-        if ACTIVE.load(Ordering::SeqCst) {
-            return false;
-        }
-        *slot = Some(Arc::new(clock));
-        lock_global().clear();
-        EPOCH.fetch_add(1, Ordering::Release);
-        ACTIVE.store(true, Ordering::SeqCst);
-        true
-    }
-
-    /// Deactivates the sink and returns everything recorded this epoch.
-    /// Flushes the calling thread's buffer first; worker threads must
-    /// already be joined (the parallel runner flushes each worker as it
-    /// finishes). Returns `None` if no sink was active.
-    pub fn finish() -> Option<Trace> {
-        let _slot = lock_clock(); // serialize against concurrent install()
-        if !ACTIVE.swap(false, Ordering::SeqCst) {
-            return None;
-        }
-        flush_thread();
-        let events = std::mem::take(&mut *lock_global());
-        Some(Trace::from_events(events))
-    }
-
-    /// Drains the calling thread's buffer into the global sink. The
-    /// parallel runner calls this as each worker closure returns so
-    /// worker-side events survive the join.
-    pub fn flush_thread() {
-        let _ = TLS.try_with(|cell| cell.borrow_mut().flush());
-    }
-
-    #[doc(hidden)]
-    pub fn __span_open(name: &'static str, fields: &[(&'static str, f64)]) -> SpanGuard {
-        if !is_active() {
-            return SpanGuard::noop();
-        }
-        let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-        let recorded = TLS.try_with(|cell| {
-            let mut buf = cell.borrow_mut();
-            buf.sync();
-            let t_ns = buf.now();
-            let parent = match buf.stack.last() {
-                Some(&p) => p,
-                None => 0,
-            };
-            buf.events.push(Event::SpanOpen {
-                id,
-                parent,
-                name: Name::Borrowed(name),
-                t_ns,
-                fields: fields
-                    .iter()
-                    .map(|&(k, v)| (Name::Borrowed(k), v))
-                    .collect(),
-            });
-            buf.stack.push(id);
-            buf.maybe_flush();
-        });
-        match recorded {
-            Ok(()) => SpanGuard { id: Some(id) },
-            Err(_) => SpanGuard::noop(),
-        }
-    }
-
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            let Some(id) = self.id else { return };
-            if !is_active() {
-                return;
-            }
-            let _ = TLS.try_with(|cell| {
-                let mut buf = cell.borrow_mut();
-                buf.sync();
-                let t_ns = buf.now();
-                // Scoped guards close LIFO, so `id` is normally the top of
-                // the stack; a stray out-of-order drop abandons anything
-                // opened above it.
-                if let Some(pos) = buf.stack.iter().rposition(|&s| s == id) {
-                    buf.stack.truncate(pos);
-                }
-                buf.events.push(Event::SpanClose { id, t_ns });
-                buf.maybe_flush();
-            });
-        }
-    }
-
-    #[doc(hidden)]
-    pub fn __counter(name: &'static str, delta: u64) {
-        if !is_active() || delta == 0 {
-            return;
-        }
-        let _ = TLS.try_with(|cell| {
-            let mut buf = cell.borrow_mut();
-            buf.sync();
-            buf.events.push(Event::Counter {
-                name: Name::Borrowed(name),
-                delta,
-            });
-            buf.maybe_flush();
-        });
-    }
-
-    #[doc(hidden)]
-    pub fn __histogram(name: &'static str, value: f64) {
-        if !is_active() {
-            return;
-        }
-        let _ = TLS.try_with(|cell| {
-            let mut buf = cell.borrow_mut();
-            buf.sync();
-            match buf.hists.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, hist)) => hist.record(value),
-                None => {
-                    let mut hist = Hist::new();
-                    hist.record(value);
-                    buf.hists.push((name, hist));
-                }
-            }
-        });
-    }
-
-    #[doc(hidden)]
-    pub fn __progress(name: &'static str, value: f64) {
-        if !is_active() {
-            return;
-        }
-        let _ = TLS.try_with(|cell| {
-            let mut buf = cell.borrow_mut();
-            buf.sync();
-            let t_ns = buf.now();
-            buf.events.push(Event::Progress {
-                name: Name::Borrowed(name),
-                value,
-                t_ns,
-            });
-            buf.maybe_flush();
-        });
+impl Drop for LocalBuf {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
-// ── Inert stubs (feature off) ───────────────────────────────────────────
+thread_local! {
+    static TLS: RefCell<LocalBuf> = const { RefCell::new(LocalBuf::empty()) };
+}
 
-/// Stub: no sink exists without the `trace` feature; always `false`.
-#[cfg(not(feature = "trace"))]
+/// Whether a sink is currently installed. Cheap (one relaxed load); every
+/// macro checks it before evaluating its arguments.
 #[inline]
 pub fn is_active() -> bool {
-    false
+    ACTIVE.load(Ordering::Relaxed)
 }
 
-/// Stub: installing is impossible without the `trace` feature; always
-/// returns `false`.
-#[cfg(not(feature = "trace"))]
-pub fn install<C: Clock + 'static>(_clock: C) -> bool {
-    false
+/// Installs the global sink with the given clock and starts a new
+/// epoch. Returns `false` (and changes nothing) if a sink is already
+/// active. Call from the thread that owns the run, before spawning
+/// workers.
+pub fn install<C: Clock + 'static>(clock: C) -> bool {
+    let mut slot = lock_clock();
+    if ACTIVE.load(Ordering::SeqCst) {
+        return false;
+    }
+    *slot = Some(Arc::new(clock));
+    lock_global().clear();
+    EPOCH.fetch_add(1, Ordering::Release);
+    ACTIVE.store(true, Ordering::SeqCst);
+    true
 }
 
-/// Stub: nothing is ever recorded without the `trace` feature; always
-/// `None`.
-#[cfg(not(feature = "trace"))]
+/// Deactivates the sink and returns everything recorded this epoch.
+/// Flushes the calling thread's buffer first; worker threads must
+/// already be joined (the parallel runner flushes each worker as it
+/// finishes). Returns `None` if no sink was active.
 pub fn finish() -> Option<Trace> {
-    None
+    let _slot = lock_clock(); // serialize against concurrent install()
+    if !ACTIVE.swap(false, Ordering::SeqCst) {
+        return None;
+    }
+    flush_thread();
+    let events = std::mem::take(&mut *lock_global());
+    Some(Trace::from_events(events))
 }
 
-/// Stub: no-op without the `trace` feature.
-#[cfg(not(feature = "trace"))]
-#[inline]
-pub fn flush_thread() {}
+/// Drains the calling thread's buffer into the global sink. The
+/// parallel runner calls this as each worker closure returns so
+/// worker-side events survive the join.
+pub fn flush_thread() {
+    let _ = TLS.try_with(|cell| cell.borrow_mut().flush());
+}
+
+#[doc(hidden)]
+pub fn __span_open(name: &'static str, fields: &[(&'static str, f64)]) -> SpanGuard {
+    if !is_active() {
+        return SpanGuard::noop();
+    }
+    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+    let recorded = TLS.try_with(|cell| {
+        let mut buf = cell.borrow_mut();
+        buf.sync();
+        let t_ns = buf.now();
+        let parent = match buf.stack.last() {
+            Some(&p) => p,
+            None => 0,
+        };
+        buf.events.push(Event::SpanOpen {
+            id,
+            parent,
+            name: Name::Borrowed(name),
+            t_ns,
+            fields: fields
+                .iter()
+                .map(|&(k, v)| (Name::Borrowed(k), v))
+                .collect(),
+        });
+        buf.stack.push(id);
+        buf.maybe_flush();
+    });
+    match recorded {
+        Ok(()) => SpanGuard { id: Some(id) },
+        Err(_) => SpanGuard::noop(),
+    }
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        let Some(id) = self.id else { return };
+        if !is_active() {
+            return;
+        }
+        let _ = TLS.try_with(|cell| {
+            let mut buf = cell.borrow_mut();
+            buf.sync();
+            let t_ns = buf.now();
+            // Scoped guards close LIFO, so `id` is normally the top of
+            // the stack; a stray out-of-order drop abandons anything
+            // opened above it.
+            if let Some(pos) = buf.stack.iter().rposition(|&s| s == id) {
+                buf.stack.truncate(pos);
+            }
+            buf.events.push(Event::SpanClose { id, t_ns });
+            buf.maybe_flush();
+        });
+    }
+}
+
+#[doc(hidden)]
+pub fn __counter(name: &'static str, delta: u64) {
+    if !is_active() || delta == 0 {
+        return;
+    }
+    let _ = TLS.try_with(|cell| {
+        let mut buf = cell.borrow_mut();
+        buf.sync();
+        buf.events.push(Event::Counter {
+            name: Name::Borrowed(name),
+            delta,
+        });
+        buf.maybe_flush();
+    });
+}
+
+#[doc(hidden)]
+pub fn __histogram(name: &'static str, value: f64) {
+    if !is_active() {
+        return;
+    }
+    let _ = TLS.try_with(|cell| {
+        let mut buf = cell.borrow_mut();
+        buf.sync();
+        match buf.hists.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, hist)) => hist.record(value),
+            None => {
+                let mut hist = Hist::new();
+                hist.record(value);
+                buf.hists.push((name, hist));
+            }
+        }
+    });
+}
+
+#[doc(hidden)]
+pub fn __progress(name: &'static str, value: f64) {
+    if !is_active() {
+        return;
+    }
+    let _ = TLS.try_with(|cell| {
+        let mut buf = cell.borrow_mut();
+        buf.sync();
+        let t_ns = buf.now();
+        buf.events.push(Event::Progress {
+            name: Name::Borrowed(name),
+            value,
+            t_ns,
+        });
+        buf.maybe_flush();
+    });
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::NoopClock;
 
     #[test]
     fn noop_guard_is_inert() {
         let g = SpanGuard::noop();
         drop(g);
-    }
-
-    #[cfg(not(feature = "trace"))]
-    #[test]
-    fn stubs_are_inert() {
-        assert!(!is_active());
-        assert!(!install(NoopClock));
-        assert!(finish().is_none());
-        flush_thread();
-    }
-
-    // Feature-on lifecycle tests live in tests/sink_lifecycle.rs where a
-    // process-wide mutex serializes access to the global sink.
-    #[cfg(feature = "trace")]
-    #[test]
-    fn install_finish_round_trip_smoke() {
-        // Serialized by being the only global-sink test in the unit-test
-        // binary (integration tests run in a separate process).
-        assert!(install(NoopClock));
-        assert!(is_active());
-        assert!(!install(NoopClock));
-        crate::__counter("unit.smoke", 3);
-        let tr = match finish() {
-            Some(t) => t,
-            None => unreachable!("finish returned None with an active sink"),
-        };
-        assert!(!is_active());
-        assert_eq!(tr.counter_totals().get("unit.smoke"), Some(&3));
     }
 }

@@ -23,30 +23,16 @@ echo "==> ellipsoid LMI solver + screening equivalence at OVERRUN_THREADS=4"
 OVERRUN_THREADS=4 cargo test --release -q -p overrun-jsr --test ellipsoid_lmi
 OVERRUN_THREADS=4 cargo test --release -q -p overrun-control --test screening_equivalence
 
-echo "==> trace feature stays OFF in the default dependency graph"
-if cargo tree -p overrun-bench -e features -f "{p} {f}" --prefix none \
-    | grep "^overrun-trace v" | grep -q ") trace"; then
-  echo "error: the 'trace' feature leaked into the default build" >&2
-  exit 1
-fi
+echo "==> trace counters thread-invariant + JSONL round trip"
+OVERRUN_THREADS=4 cargo test --release -q -p overrun-control --test trace_counters
 
-echo "==> overrun-trace unit tests (feature off and on)"
-cargo test --release -q -p overrun-trace
-cargo test --release -q -p overrun-trace --features trace
-
-echo "==> instrumented crates build without default features (macros inert)"
-cargo build -q -p overrun-jsr -p overrun-control -p overrun-rtsim \
-  --no-default-features
-
-echo "==> trace counters thread-invariant + JSONL round trip (--features trace)"
-OVERRUN_THREADS=4 cargo test --release -q -p overrun-control \
-  --features trace --test trace_counters
-
-echo "==> table2 --trace smoke (--features trace)"
-rm -f bench_results/table2.trace.jsonl
-cargo run --release -q -p overrun-bench --features trace --bin table2 -- \
-  --sequences 10 --jobs 10 --out bench_results --trace >/dev/null
-test -s bench_results/table2.trace.jsonl
+echo "==> --trace smoke on every experiment binary (default build)"
+for bin in table1 table2 ts_tradeoff jsr_ablation figure1; do
+  rm -f "bench_results/$bin.trace.jsonl"
+  cargo run --release -q -p overrun-bench --bin "$bin" -- \
+    --sequences 10 --jobs 10 --out bench_results --trace >/dev/null
+  test -s "bench_results/$bin.trace.jsonl"
+done
 
 echo "==> memoising certifier: record round-trip, fault isolation, kill/rerun oracle"
 cargo test --release -q -p overrun-sweep
@@ -94,8 +80,8 @@ test -s bench_results/BENCH_results.json
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy on the feature-gated library code (trace, sanitize)"
+echo "==> cargo clippy on the feature-gated library code (sanitize)"
 cargo clippy -p overrun-linalg -p overrun-jsr -p overrun-control -p overrun-rtsim --lib \
-  --features overrun-control/trace,overrun-linalg/sanitize -- -D warnings
+  --features overrun-linalg/sanitize -- -D warnings
 
 echo "All checks passed."

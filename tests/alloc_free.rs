@@ -17,6 +17,7 @@ use overrun_control::scenarios::pmsm_table2_weights;
 use overrun_control::sim::{ClosedLoopSim, SimScenario};
 use overrun_jsr::{
     gripenberg_with_stats, optimize_ellipsoid, EllipsoidOptions, GripenbergOptions, MatrixSet,
+    ScreenStats,
 };
 use overrun_linalg::{cheap_spectral_bounds, norm_2, spectral_radius, Matrix};
 
@@ -91,10 +92,12 @@ fn table2_set() -> MatrixSet {
 
 /// `matmul_into`, `matmul_add_into`, `mul_vec_into`, `mul_vec_acc_into`,
 /// `scale_in_place` and `cheap_spectral_bounds` (the JSR screening
-/// bracket) never allocate for the fixed-size kernel dimensions n ≤ 8.
+/// bracket) never allocate for n ≤ 12: the fixed-size kernel dimensions
+/// n ≤ 8 and the generic path up to the 9 × 9 Table-II lifted sets and
+/// beyond.
 #[test]
 fn matrix_kernels_allocate_nothing() {
-    for n in 1..=overrun_linalg::small::MAX_DIM {
+    for n in 1..=12 {
         let a = test_matrix(n, 1);
         let b = test_matrix(n, 2);
         let x: Vec<f64> = (0..n).map(|i| i as f64 - 1.5).collect();
@@ -202,7 +205,23 @@ fn expand_node_allocates_only_for_survivors_and_exact_evaluations() {
     // Two 6 × 6 matrices: inside the fixed-size screening kernels
     // (n ≤ 8), with a tree deep and bushy enough that most nodes are
     // screened out.
-    let set = MatrixSet::new(vec![test_matrix(6, 1), test_matrix(6, 2)]).unwrap();
+    let synthetic = MatrixSet::new(vec![test_matrix(6, 1), test_matrix(6, 2)]).unwrap();
+    let stats = assert_search_allocations(&synthetic);
+    assert!(
+        stats.schur_skipped() > stats.schur_evals(),
+        "search is screened: {stats}"
+    );
+    // The 9 × 9 Table-II lifted set, which every `table2` certification
+    // screens (unpreconditioned, a third of its evaluations are skipped).
+    let stats = assert_search_allocations(&table2_set());
+    assert!(stats.schur_skipped() > 0, "search is screened: {stats}");
+}
+
+/// Runs a serial screened Gripenberg search on `set` to depth 8 and
+/// checks its allocations against the allowance for survivors, exact
+/// evaluations and the per-depth search buffers. Returns the search's
+/// screening counters.
+fn assert_search_allocations(set: &MatrixSet) -> ScreenStats {
     let opts = GripenbergOptions {
         delta: 1e-6,
         max_depth: 8,
@@ -214,13 +233,9 @@ fn expand_node_allocates_only_for_survivors_and_exact_evaluations() {
     // Serial, so every allocation lands on this thread's count. No other
     // test here measures code that reads the thread count.
     overrun_par::set_thread_override(Some(1));
-    let (count, result) = allocations(|| gripenberg_with_stats(&set, &opts));
+    let (count, result) = allocations(|| gripenberg_with_stats(set, &opts));
     overrun_par::set_thread_override(None);
     let stats = result.unwrap().1;
-    assert!(
-        stats.schur_skipped() > stats.schur_evals(),
-        "search is screened: {stats}"
-    );
 
     // Per-call costs of the exact evaluations, measured on products the
     // search forms (the worst case over all length-2 and length-3 words).
@@ -258,4 +273,5 @@ fn expand_node_allocates_only_for_survivors_and_exact_evaluations() {
         "{count} allocations > {allowed} allowed \
          ({norm_cost}/norm_2, {rho_cost}/spectral_radius; {stats})"
     );
+    stats
 }
