@@ -278,24 +278,8 @@ pub struct GranularityRow {
 /// Sweeps the sensor oversampling factor `Ns` at fixed `Rmax`, measuring
 /// the three quantities the paper's Sec. V-B trades off: analysis size
 /// (`#H`), stability margin (JSR upper bound) and performance (`J_w`),
-/// plus the resource-efficiency proxy `Δmax − (Rmax − T)`.
-///
-/// # Errors
-///
-/// Propagates design, certification and simulation failures.
-pub fn granularity_sweep(
-    plant: &ContinuousSs,
-    t: f64,
-    rmax_factor: f64,
-    ns_values: &[u32],
-    cfg: &ExperimentConfig,
-) -> Result<Vec<GranularityRow>> {
-    granularity_sweep_with(plant, t, rmax_factor, ns_values, cfg, &|p, tb, o| {
-        certify(p, tb, o)
-    })
-}
-
-/// [`granularity_sweep`] with an injected certifier (see [`CertifyFn`]).
+/// plus the resource-efficiency proxy `Δmax − (Rmax − T)`. Each
+/// adaptive design is certified through `certify_fn` (see [`CertifyFn`]).
 ///
 /// # Errors
 ///

@@ -34,10 +34,10 @@
 //! identity is returned instead whenever it does at least as well.
 
 use overrun_linalg::{
-    cholesky_in_place, cholesky_log_det, cholesky_solve_in_place, norm_2, spectral_radius, Matrix,
+    cholesky_in_place, cholesky_log_det, cholesky_solve_in_place, norm_2, Matrix,
 };
 
-use crate::{Error, JsrBounds, MatrixSet, Result};
+use crate::{Error, MatrixSet, Result};
 
 /// Options for [`optimize_ellipsoid`].
 #[derive(Debug, Clone)]
@@ -623,35 +623,10 @@ fn spd_inverse(c: &[f64], out: &mut [f64], n: usize) {
     }
 }
 
-/// The Blondel–Nesterov semidefinite-lifting bounds:
-///
-/// ```text
-/// sqrt(ρ(Σᵢ Aᵢ⊗Aᵢ) / q)  ≤  ρ(A)  ≤  sqrt(ρ(Σᵢ Aᵢ⊗Aᵢ))
-/// ```
-///
-/// Cheap (one eigenvalue problem of size `n²`) and sometimes much tighter
-/// than first-level norms; used as an additional cut in
-/// [`crate::gripenberg`]-based certification pipelines.
-///
-/// # Errors
-///
-/// Propagates eigenvalue-computation failures.
-pub fn kronecker_sum_bounds(set: &MatrixSet) -> Result<JsrBounds> {
-    let n = set.dim();
-    let mut s = Matrix::zeros(n * n, n * n);
-    for a in set {
-        s = s.add_mat(&a.kron(a))?;
-    }
-    let rho = spectral_radius(&s)?;
-    Ok(JsrBounds {
-        lower: (rho / set.len() as f64).max(0.0).sqrt(),
-        upper: rho.max(0.0).sqrt(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use overrun_linalg::spectral_radius;
 
     // Tests return `Result` and use `?`, so a failure reports the error
     // that caused it.
@@ -698,27 +673,6 @@ mod tests {
             },
         )?;
         assert!(e.norm_bound >= bf.lower - 1e-9);
-        Ok(())
-    }
-
-    #[test]
-    fn kronecker_bounds_sandwich_singleton() -> TestResult {
-        let a = Matrix::from_rows(&[&[0.3, 0.7], &[-0.5, 0.2]])?;
-        let rho = spectral_radius(&a)?;
-        let set = MatrixSet::new(vec![a])?;
-        let b = kronecker_sum_bounds(&set)?;
-        // For a singleton, ρ(A⊗A) = ρ(A)² exactly: both bounds collapse.
-        assert!((b.lower - rho).abs() < 1e-8, "{b:?} vs {rho}");
-        assert!((b.upper - rho).abs() < 1e-8);
-        Ok(())
-    }
-
-    #[test]
-    fn kronecker_bounds_contain_true_jsr_for_diagonals() -> TestResult {
-        let set = MatrixSet::new(vec![Matrix::diag(&[0.9, 0.1]), Matrix::diag(&[0.1, 0.8])])?;
-        let b = kronecker_sum_bounds(&set)?;
-        assert!(b.lower <= 0.9 + 1e-9);
-        assert!(b.upper >= 0.9 - 1e-9);
         Ok(())
     }
 

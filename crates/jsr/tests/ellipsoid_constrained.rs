@@ -10,8 +10,8 @@
 //! language can only remove products).
 
 use overrun_jsr::{
-    bruteforce_bounds, constrained_bounds, kronecker_sum_bounds, optimize_ellipsoid,
-    BruteforceOptions, ConstrainedOptions, EllipsoidOptions, MatrixSet,
+    bruteforce_bounds, constrained_bounds, optimize_ellipsoid, BruteforceOptions,
+    ConstrainedOptions, EllipsoidOptions, MatrixSet,
 };
 use overrun_linalg::{norm_2, spectral_radius, Matrix};
 use proptest::prelude::*;
@@ -39,17 +39,6 @@ fn ellipsoid_known_answer_scaled_rotation() {
     let set = MatrixSet::new(vec![a]).unwrap();
     let e = optimize_ellipsoid(&set, &EllipsoidOptions::default()).unwrap();
     assert!((e.norm_bound - 0.9).abs() < 1e-6, "bound = {}", e.norm_bound);
-}
-
-/// Known answer for the Blondel–Nesterov cut: for a singleton,
-/// `ρ(A ⊗ A) = ρ(A)²`, so both bounds collapse onto the spectral radius.
-#[test]
-fn kronecker_known_answer_rotation() {
-    let a = Matrix::from_rows(&[&[0.0, 0.9], &[-0.9, 0.0]]).unwrap();
-    let set = MatrixSet::new(vec![a]).unwrap();
-    let b = kronecker_sum_bounds(&set).unwrap();
-    assert!((b.lower - 0.9).abs() < 1e-8, "{b:?}");
-    assert!((b.upper - 0.9).abs() < 1e-8, "{b:?}");
 }
 
 /// Forced alternation (`prev != next`) between a contractive and an

@@ -6,7 +6,7 @@
 //!
 //! * a dense row-major [`Matrix`] of `f64` with the usual arithmetic,
 //! * [`Lu`] factorisation with partial pivoting (solve / det / inverse),
-//! * Householder [`Qr`] factorisation and [`Cholesky`],
+//! * [`Cholesky`] factorisation,
 //! * Hessenberg reduction and a Francis double-shift QR iteration giving
 //!   real-matrix [`eigenvalues`] and the [`spectral_radius`],
 //! * the matrix exponential [`expm`] (Padé-13 scaling and squaring) and the
@@ -45,13 +45,11 @@ mod lyapunov;
 mod matrix;
 mod norms;
 pub mod optimize;
-mod qr;
 mod riccati;
 #[cfg(feature = "sanitize")]
 pub mod sanitize;
 mod schur;
 pub mod small;
-mod svd;
 
 pub use cholesky::{
     cholesky_in_place, cholesky_log_det, cholesky_solve_in_place, is_spd, Cholesky,
@@ -65,10 +63,8 @@ pub use norms::{
     balance, cheap_spectral_bounds, norm_1, norm_2, norm_2_bracket, norm_fro, norm_inf,
     spectral_radius_upper, CheapSpectralBounds,
 };
-pub use qr::Qr;
 pub use riccati::{dkalman, dkalman_solution, dlqr, dlqr_solution, solve_dare, DareSolution};
 pub use schur::{eigenvalues, hessenberg, spectral_radius, Eigenvalue};
-pub use svd::{rank, Svd};
 
 /// Convenience alias for `Result<T, overrun_linalg::Error>`.
 pub type Result<T> = std::result::Result<T, Error>;

@@ -2,7 +2,7 @@
 
 use overrun_linalg::{
     eigenvalues, expm, expm_integral, norm_1, norm_2, norm_fro, norm_inf, solve_discrete_lyapunov,
-    solve_discrete_lyapunov_direct, spectral_radius, Cholesky, Lu, Matrix, Qr,
+    solve_discrete_lyapunov_direct, spectral_radius, Cholesky, Lu, Matrix,
 };
 use proptest::prelude::*;
 
@@ -53,14 +53,6 @@ proptest! {
         let db = b.det().unwrap();
         let scale = da.abs().max(1.0) * db.abs().max(1.0);
         prop_assert!((dab - da * db).abs() < 1e-9 * scale);
-    }
-
-    #[test]
-    fn qr_orthogonal_and_reconstructs(a in square_matrix(4, 3.0)) {
-        let qr = Qr::new(&a).unwrap();
-        let qtq = qr.q().transpose() * qr.q();
-        prop_assert!(qtq.approx_eq(&Matrix::identity(4), 1e-10, 1e-10));
-        prop_assert!((qr.q() * qr.r()).approx_eq(&a, 1e-9, 1e-9));
     }
 
     #[test]
@@ -140,6 +132,18 @@ proptest! {
         prop_assert!(norm_1(&p) <= norm_1(&a) * norm_1(&b) + 1e-9);
         prop_assert!(norm_inf(&p) <= norm_inf(&a) * norm_inf(&b) + 1e-9);
         prop_assert!(norm_2(&p) <= norm_2(&a) * norm_2(&b) + 1e-6 * (norm_fro(&a) * norm_fro(&b)).max(1.0));
+    }
+
+    #[test]
+    fn norm_2_matches_2x2_closed_form(a in square_matrix(2, 5.0)) {
+        // ‖A‖₂² is the larger eigenvalue of AᵀA: (F + √(F² − 4·det(A)²))/2
+        // with F = ‖A‖_F². The square root loses up to √ε when the two
+        // singular values coincide, hence the 1e-7 relative tolerance.
+        let f = norm_fro(&a).powi(2);
+        let det = a.det().unwrap();
+        let exact = ((f + (f * f - 4.0 * det * det).max(0.0).sqrt()) / 2.0).sqrt();
+        prop_assert!((norm_2(&a) - exact).abs() <= 1e-7 * exact.max(1.0),
+            "norm_2 {} vs closed form {}", norm_2(&a), exact);
     }
 
     #[test]
@@ -268,70 +272,6 @@ mod screening_and_kernel_properties {
             // The padded embedding only appends exact zeros to the sum, so
             // the generic accumulation visits the same values in order.
             prop_assert_eq!(norm_fro(&am).to_bits(), norm_fro(&pad(n, &a)).to_bits());
-        }
-    }
-}
-
-mod svd_properties {
-    use super::*;
-    use overrun_linalg::Svd;
-
-    fn any_matrix(rows: usize, cols: usize, mag: f64) -> impl Strategy<Value = Matrix> {
-        prop::collection::vec(-mag..mag, rows * cols)
-            .prop_map(move |v| Matrix::from_vec(rows, cols, v).expect("sized buffer"))
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn svd_reconstructs(a in any_matrix(4, 3, 5.0)) {
-            let svd = Svd::new(&a).unwrap();
-            let mut back = Matrix::zeros(4, 3);
-            for j in 0..svd.singular_values().len() {
-                let s = svd.singular_values()[j];
-                for i in 0..4 {
-                    for k in 0..3 {
-                        back[(i, k)] += s * svd.u()[(i, j)] * svd.v()[(k, j)];
-                    }
-                }
-            }
-            let scale = a.max_abs().max(1.0);
-            prop_assert!(back.approx_eq(&a, 1e-9 * scale, 1e-9));
-        }
-
-        #[test]
-        fn singular_values_sorted_and_nonnegative(a in any_matrix(3, 5, 4.0)) {
-            let svd = Svd::new(&a).unwrap();
-            let s = svd.singular_values();
-            prop_assert!(s.iter().all(|v| *v >= 0.0));
-            for w in s.windows(2) {
-                prop_assert!(w[0] >= w[1] - 1e-12);
-            }
-            // σ₁ = ‖A‖₂ and sqrt(Σσ²) = ‖A‖_F.
-            prop_assert!((s[0] - norm_2(&a)).abs() < 1e-8 * s[0].max(1.0));
-            let fro: f64 = s.iter().map(|x| x * x).sum::<f64>().sqrt();
-            prop_assert!((fro - norm_fro(&a)).abs() < 1e-9 * fro.max(1.0));
-        }
-
-        #[test]
-        fn rank_bounds(a in any_matrix(4, 4, 3.0)) {
-            let r = overrun_linalg::rank(&a).unwrap();
-            prop_assert!(r <= 4);
-            // det != 0 (well away from zero) implies full rank.
-            let d = a.det().unwrap();
-            if d.abs() > 1e-6 {
-                prop_assert_eq!(r, 4);
-            }
-        }
-
-        #[test]
-        fn pseudo_inverse_is_consistent(a in any_matrix(5, 2, 4.0)) {
-            let pinv = Svd::new(&a).unwrap().pseudo_inverse().unwrap();
-            // A A⁺ A = A always holds for the Moore–Penrose inverse.
-            let back = &a * &pinv * &a;
-            let scale = a.max_abs().max(1.0);
-            prop_assert!(back.approx_eq(&a, 1e-7 * scale, 1e-7));
         }
     }
 }

@@ -5,12 +5,8 @@
 //! The primitives are designed so that **results are bit-identical for any
 //! thread count**:
 //!
-//! - [`parallel_map`] / [`try_parallel_map`] return outputs in input order
-//!   regardless of which thread computed them.
-//! - [`parallel_reduce`] folds fixed-size chunks in chunk order, so
-//!   non-associative floating-point accumulation gives the same answer at
-//!   1 or N threads (chunk boundaries depend only on `chunk_size`, never on
-//!   the thread count).
+//! - [`try_parallel_map`] returns outputs in input order regardless of
+//!   which thread computed them, and the lowest-index error on failure.
 //! - [`derive_seed`] splits one master RNG seed into decorrelated
 //!   per-item seeds, making per-item random streams independent of how the
 //!   items are scheduled across threads.
@@ -83,26 +79,6 @@ pub fn derive_seed(master: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Maps `f` over `items`, in parallel, preserving input order.
-///
-/// `f` must be `Sync` (shared by reference across workers) and is called
-/// exactly once per item. Panics in `f` propagate to the caller.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let out = try_parallel_map(items, |i, t| Ok::<R, Never>(f(i, t)));
-    match out {
-        Ok(v) => v,
-        Err(never) => match never {},
-    }
-}
-
-/// Uninhabited error type used to reuse the fallible driver infallibly.
-enum Never {}
-
 /// Maps a fallible `f` over `items` in parallel, preserving input order.
 ///
 /// On failure, returns the error produced at the **lowest input index**
@@ -166,40 +142,6 @@ where
     let mut pairs: Vec<(usize, Result<R, E>)> = per_thread.into_iter().flatten().collect();
     pairs.sort_unstable_by_key(|&(i, _)| i);
     pairs.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Parallel chunked reduction with deterministic, thread-count-independent
-/// results.
-///
-/// The index range `0..len` is split into fixed chunks of `chunk_size`
-/// (the last may be short). Each chunk is folded serially by `fold_chunk`
-/// starting from `identity()`; chunk results are then combined **in chunk
-/// order** by `combine`. Because chunk boundaries depend only on
-/// `chunk_size`, the floating-point operation order — and therefore the
-/// result, bit for bit — is the same at any thread count.
-pub fn parallel_reduce<A, I, FC, C>(
-    len: usize,
-    chunk_size: usize,
-    identity: I,
-    fold_chunk: FC,
-    combine: C,
-) -> A
-where
-    A: Send,
-    I: Fn() -> A + Sync,
-    FC: Fn(A, std::ops::Range<usize>) -> A + Sync,
-    C: Fn(A, A) -> A,
-{
-    let chunk_size = chunk_size.max(1);
-    let n_chunks = len.div_ceil(chunk_size);
-    let chunk_range = |c: usize| {
-        let lo = c * chunk_size;
-        lo..(lo + chunk_size).min(len)
-    };
-    let chunks: Vec<usize> = (0..n_chunks).collect();
-    let partials = parallel_map(&chunks, |_, &c| fold_chunk(identity(), chunk_range(c)));
-    // Serial fold in chunk order — the only place partials meet.
-    partials.into_iter().fold(identity(), combine)
 }
 
 /// A shared lower bound: an `f64` maximum updateable from many threads.
@@ -273,7 +215,8 @@ mod tests {
         let mut reference = None;
         for threads in [1usize, 2, 4, 7] {
             set_thread_override(Some(threads));
-            let out = parallel_map(&items, |i, &x| (i as u64) * 1000 + x * x);
+            let out =
+                try_parallel_map(&items, |i, &x| Ok::<u64, ()>((i as u64) * 1000 + x * x)).unwrap();
             match &reference {
                 None => reference = Some(out),
                 Some(r) => assert_eq!(&out, r, "threads = {threads}"),
@@ -314,31 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_is_bit_identical_across_thread_counts() {
-        let _g = OVERRIDE_LOCK.lock().unwrap();
-        // Sum values chosen to make f64 addition order matter.
-        let vals: Vec<f64> = (0..1000)
-            .map(|i| ((i * 2654435761u64 as usize) % 977) as f64 * 1e-3 + 1e9)
-            .collect();
-        let sum_at = |threads: usize| {
-            set_thread_override(Some(threads));
-            parallel_reduce(
-                vals.len(),
-                64,
-                || 0.0f64,
-                |acc, range| range.fold(acc, |a, i| a + vals[i]),
-                |a, b| a + b,
-            )
-        };
-        let s1 = sum_at(1);
-        for threads in [2usize, 3, 8] {
-            let s = sum_at(threads);
-            assert_eq!(s.to_bits(), s1.to_bits(), "threads = {threads}");
-        }
-        set_thread_override(None);
-    }
-
-    #[test]
     fn shared_max_monotone() {
         let cell = SharedMaxF64::new(f64::NEG_INFINITY);
         cell.update(1.5);
@@ -349,7 +267,11 @@ mod tests {
         set_thread_override(Some(4));
         let vals: Vec<f64> = (0..500).map(|i| (i % 313) as f64).collect();
         let cell = SharedMaxF64::new(f64::NEG_INFINITY);
-        parallel_map(&vals, |_, &v| cell.update(v));
+        try_parallel_map(&vals, |_, &v| {
+            cell.update(v);
+            Ok::<(), ()>(())
+        })
+        .unwrap();
         assert_eq!(cell.get(), 312.0);
         set_thread_override(None);
     }

@@ -1,7 +1,7 @@
 //! Trace events, fixed-bucket histograms, and the JSONL schema.
 //!
-//! One event serializes to one JSON line. The schema (field order is
-//! fixed by the exporter; the parser is order-insensitive):
+//! One event serializes to one JSON line, with its fields in this fixed
+//! order:
 //!
 //! ```text
 //! {"e":"open","id":3,"parent":0,"name":"jsr.depth","t_ns":120,"fields":[["depth",2],["frontier",17]]}
@@ -11,15 +11,12 @@
 //! {"e":"hist","name":"lqr.riccati_residual","count":6,"sum":3.1e-13,"min":2e-14,"max":9e-14,"buckets":[[8,4],[9,2]]}
 //! ```
 //!
-//! Non-finite floats serialize as `null` and parse back as NaN; ids,
-//! deltas, and timestamps are exact below 2^53.
+//! Non-finite floats serialize as `null`.
 
 use std::borrow::Cow;
 
-use crate::json::{self, Value};
-
-/// Event names are `&'static str` when produced by the macros and owned
-/// strings when parsed back from JSONL.
+/// Event names are `&'static str` when produced by the macros; an owned
+/// string serves a name built at run time.
 pub type Name = Cow<'static, str>;
 
 /// Number of exponent buckets in a [`Hist`]. Bucket 0 collects
@@ -126,12 +123,6 @@ impl Hist {
             .filter(|(_, &c)| c != 0)
             .map(|(i, &c)| (i, c))
     }
-
-    fn set_bucket(&mut self, index: usize, count: u64) {
-        if index < HIST_BUCKETS {
-            self.buckets[index] = count;
-        }
-    }
 }
 
 /// One structured trace event.
@@ -201,7 +192,7 @@ impl Event {
                 out.push_str(",\"parent\":");
                 out.push_str(&parent.to_string());
                 out.push_str(",\"name\":\"");
-                json::escape_into(&mut out, name);
+                escape_into(&mut out, name);
                 out.push_str("\",\"t_ns\":");
                 out.push_str(&t_ns.to_string());
                 out.push_str(",\"fields\":[");
@@ -210,9 +201,9 @@ impl Event {
                         out.push(',');
                     }
                     out.push_str("[\"");
-                    json::escape_into(&mut out, k);
+                    escape_into(&mut out, k);
                     out.push_str("\",");
-                    json::push_f64(&mut out, *v);
+                    push_f64(&mut out, *v);
                     out.push(']');
                 }
                 out.push_str("]}");
@@ -226,31 +217,31 @@ impl Event {
             }
             Event::Counter { name, delta } => {
                 out.push_str("{\"e\":\"counter\",\"name\":\"");
-                json::escape_into(&mut out, name);
+                escape_into(&mut out, name);
                 out.push_str("\",\"delta\":");
                 out.push_str(&delta.to_string());
                 out.push('}');
             }
             Event::Progress { name, value, t_ns } => {
                 out.push_str("{\"e\":\"progress\",\"name\":\"");
-                json::escape_into(&mut out, name);
+                escape_into(&mut out, name);
                 out.push_str("\",\"value\":");
-                json::push_f64(&mut out, *value);
+                push_f64(&mut out, *value);
                 out.push_str(",\"t_ns\":");
                 out.push_str(&t_ns.to_string());
                 out.push('}');
             }
             Event::Hist { name, hist } => {
                 out.push_str("{\"e\":\"hist\",\"name\":\"");
-                json::escape_into(&mut out, name);
+                escape_into(&mut out, name);
                 out.push_str("\",\"count\":");
                 out.push_str(&hist.count.to_string());
                 out.push_str(",\"sum\":");
-                json::push_f64(&mut out, hist.sum);
+                push_f64(&mut out, hist.sum);
                 out.push_str(",\"min\":");
-                json::push_f64(&mut out, hist.min);
+                push_f64(&mut out, hist.min);
                 out.push_str(",\"max\":");
-                json::push_f64(&mut out, hist.max);
+                push_f64(&mut out, hist.max);
                 out.push_str(",\"buckets\":[");
                 for (i, (idx, c)) in hist.nonzero_buckets().enumerate() {
                     if i > 0 {
@@ -267,101 +258,31 @@ impl Event {
         }
         out
     }
+}
 
-    /// Parses one JSONL line back into an event.
-    pub fn from_jsonl(line: &str) -> Result<Event, String> {
-        let v = json::parse(line)?;
-        let kind = v
-            .get("e")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "missing \"e\" discriminant".to_string())?;
-        let name = |v: &Value| -> Result<Name, String> {
-            v.get("name")
-                .and_then(Value::as_str)
-                .map(|s| Name::Owned(s.to_string()))
-                .ok_or_else(|| "missing \"name\"".to_string())
-        };
-        let num = |v: &Value, key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("missing integer {key:?}"))
-        };
-        let flt = |v: &Value, key: &str| -> Result<f64, String> {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing number {key:?}"))
-        };
-        match kind {
-            "open" => {
-                let fields_v = v
-                    .get("fields")
-                    .and_then(Value::as_arr)
-                    .ok_or_else(|| "missing \"fields\"".to_string())?;
-                let mut fields = Vec::with_capacity(fields_v.len());
-                for pair in fields_v {
-                    let items = pair
-                        .as_arr()
-                        .filter(|p| p.len() == 2)
-                        .ok_or_else(|| "field is not a [key, value] pair".to_string())?;
-                    let key = items[0]
-                        .as_str()
-                        .ok_or_else(|| "field key is not a string".to_string())?;
-                    let value = items[1]
-                        .as_f64()
-                        .ok_or_else(|| "field value is not a number".to_string())?;
-                    fields.push((Name::Owned(key.to_string()), value));
-                }
-                Ok(Event::SpanOpen {
-                    id: num(&v, "id")?,
-                    parent: num(&v, "parent")?,
-                    name: name(&v)?,
-                    t_ns: num(&v, "t_ns")?,
-                    fields,
-                })
+/// Escapes a string for embedding in a JSON document.
+fn escape_into(out: &mut String, s: &str) {
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
             }
-            "close" => Ok(Event::SpanClose {
-                id: num(&v, "id")?,
-                t_ns: num(&v, "t_ns")?,
-            }),
-            "counter" => Ok(Event::Counter {
-                name: name(&v)?,
-                delta: num(&v, "delta")?,
-            }),
-            "progress" => Ok(Event::Progress {
-                name: name(&v)?,
-                value: flt(&v, "value")?,
-                t_ns: num(&v, "t_ns")?,
-            }),
-            "hist" => {
-                let mut hist = Hist::new();
-                hist.count = num(&v, "count")?;
-                hist.sum = flt(&v, "sum")?;
-                hist.min = flt(&v, "min")?;
-                hist.max = flt(&v, "max")?;
-                let buckets = v
-                    .get("buckets")
-                    .and_then(Value::as_arr)
-                    .ok_or_else(|| "missing \"buckets\"".to_string())?;
-                for pair in buckets {
-                    let items = pair
-                        .as_arr()
-                        .filter(|p| p.len() == 2)
-                        .ok_or_else(|| "bucket is not an [index, count] pair".to_string())?;
-                    let idx = items[0]
-                        .as_u64()
-                        .ok_or_else(|| "bucket index is not an integer".to_string())?;
-                    let count = items[1]
-                        .as_u64()
-                        .ok_or_else(|| "bucket count is not an integer".to_string())?;
-                    hist.set_bucket(idx as usize, count);
-                }
-                Ok(Event::Hist {
-                    name: name(&v)?,
-                    hist: Box::new(hist),
-                })
-            }
-            other => Err(format!("unknown event kind {other:?}")),
+            c => out.push(c),
         }
+    }
+}
+
+/// Formats an `f64` as a JSON number, mapping non-finite values to `null`.
+fn push_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        out.push_str(&format!("{v}"));
+    } else {
+        out.push_str("null");
     }
 }
 
@@ -403,11 +324,11 @@ mod tests {
     }
 
     #[test]
-    fn events_round_trip_via_jsonl() -> Result<(), String> {
+    fn events_round_trip_via_jsonl() {
         let mut hist = Hist::new();
         hist.record(3.5e-13);
         hist.record(9.0e-14);
-        let events = vec![
+        let events = [
             Event::SpanOpen {
                 id: 1,
                 parent: 0,
@@ -430,16 +351,28 @@ mod tests {
             },
             Event::SpanClose { id: 1, t_ns: 99 },
         ];
-        for ev in &events {
-            let line = ev.to_jsonl();
-            let back = Event::from_jsonl(&line)?;
-            assert_eq!(back.to_jsonl(), line, "unstable round-trip for {line}");
-        }
-        Ok(())
+        let lines: Vec<String> = events.iter().map(Event::to_jsonl).collect();
+        assert_eq!(
+            lines,
+            [
+                r#"{"e":"open","id":1,"parent":0,"name":"jsr.gripenberg","t_ns":10,"fields":[["matrices",4]]}"#,
+                r#"{"e":"counter","name":"jsr.nodes","delta":12345}"#,
+                r#"{"e":"progress","name":"jsr.lb","value":1.618033988749,"t_ns":42}"#,
+                r#"{"e":"hist","name":"lqr.riccati_residual","count":2,"sum":0.00000000000044000000000000004,"min":0.00000000000009,"max":0.00000000000035,"buckets":[[10,1],[12,1]]}"#,
+                r#"{"e":"close","id":1,"t_ns":99}"#,
+            ]
+        );
     }
 
     #[test]
-    fn non_finite_values_serialize_as_null() -> Result<(), String> {
+    fn escape_writes_json_string_escapes() {
+        let mut out = String::new();
+        escape_into(&mut out, "a\"b\\c\nd\te\u{1}f");
+        assert_eq!(out, r#"a\"b\\c\nd\te\u0001f"#);
+    }
+
+    #[test]
+    fn non_finite_values_serialize_as_null() {
         let ev = Event::Progress {
             name: Name::Borrowed("x"),
             value: f64::INFINITY,
@@ -447,8 +380,5 @@ mod tests {
         };
         let line = ev.to_jsonl();
         assert!(line.contains("\"value\":null"), "{line}");
-        let back = Event::from_jsonl(&line)?;
-        assert_eq!(back.to_jsonl(), line);
-        Ok(())
     }
 }

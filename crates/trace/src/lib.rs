@@ -50,7 +50,6 @@
 
 mod clock;
 mod event;
-mod json;
 mod report;
 mod sink;
 

@@ -1,4 +1,4 @@
-//! The collected trace: JSONL export/import, per-phase span-tree
+//! The collected trace: JSONL export, per-phase span-tree
 //! aggregation, and the human-readable summary rendered at process exit.
 
 use std::collections::BTreeMap;
@@ -93,20 +93,6 @@ impl Trace {
             out.push('\n');
         }
         out
-    }
-
-    /// Parses a JSONL export back into a trace. Blank lines are skipped;
-    /// any malformed line fails the whole parse with its line number.
-    pub fn parse_jsonl(src: &str) -> Result<Self, String> {
-        let mut events = Vec::new();
-        for (i, line) in src.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let ev = Event::from_jsonl(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            events.push(ev);
-        }
-        Ok(Self { events })
     }
 
     /// Sum of all counter deltas, per counter name.
@@ -412,14 +398,21 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_string_round_trip_is_stable() -> Result<(), String> {
-        let tr = sample_trace();
-        let text = tr.to_jsonl_string();
-        let back = Trace::parse_jsonl(&text)?;
-        assert_eq!(back.to_jsonl_string(), text);
-        assert_eq!(back.counter_totals(), tr.counter_totals());
-        assert!(back.is_balanced());
-        Ok(())
+    fn jsonl_string_round_trip_is_stable() {
+        assert_eq!(
+            sample_trace().to_jsonl_string(),
+            r#"{"e":"open","id":1,"parent":0,"name":"root","t_ns":0,"fields":[]}
+{"e":"open","id":2,"parent":1,"name":"child","t_ns":10,"fields":[]}
+{"e":"close","id":2,"t_ns":40}
+{"e":"open","id":3,"parent":1,"name":"child","t_ns":50,"fields":[]}
+{"e":"close","id":3,"t_ns":70}
+{"e":"counter","name":"c.x","delta":5}
+{"e":"counter","name":"c.x","delta":7}
+{"e":"progress","name":"p.lb","value":1.5,"t_ns":20}
+{"e":"progress","name":"p.lb","value":1.75,"t_ns":60}
+{"e":"close","id":1,"t_ns":100}
+"#
+        );
     }
 
     #[test]

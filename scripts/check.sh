@@ -23,15 +23,17 @@ echo "==> ellipsoid LMI solver + screening equivalence at OVERRUN_THREADS=4"
 OVERRUN_THREADS=4 cargo test --release -q -p overrun-jsr --test ellipsoid_lmi
 OVERRUN_THREADS=4 cargo test --release -q -p overrun-control --test screening_equivalence
 
-echo "==> trace counters thread-invariant + JSONL round trip"
+echo "==> trace counters thread-invariant at OVERRUN_THREADS=4"
 OVERRUN_THREADS=4 cargo test --release -q -p overrun-control --test trace_counters
 
-echo "==> --trace smoke on every experiment binary (default build)"
+echo "==> --trace smoke on every experiment binary (default build): every JSONL line parses"
 for bin in table1 table2 ts_tradeoff jsr_ablation figure1; do
   rm -f "bench_results/$bin.trace.jsonl"
   cargo run --release -q -p overrun-bench --bin "$bin" -- \
     --sequences 10 --jobs 10 --out bench_results --trace >/dev/null
   test -s "bench_results/$bin.trace.jsonl"
+  python3 -c 'import json,sys; [json.loads(l) for l in open(sys.argv[1])]' \
+    "bench_results/$bin.trace.jsonl"
 done
 
 echo "==> memoising certifier: record round-trip, fault isolation, kill/rerun oracle"
