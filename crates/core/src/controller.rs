@@ -120,48 +120,6 @@ impl ControllerMode {
         };
         Ok((z_next, u_next))
     }
-
-    /// Allocation-free variant of [`ControllerMode::step`] on slice
-    /// buffers: writes `z[k+1]` into `z_next` and `u[k+1]` into `u_next`,
-    /// both computed from the *old* state `z`. `scratch` must hold at
-    /// least `max(state_dim, output_dim)` entries. The operation order
-    /// matches [`ControllerMode::step`] exactly (each product formed
-    /// separately, then one elementwise addition), so results are
-    /// bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape mismatches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` is shorter than `max(state_dim, output_dim)`.
-    pub fn step_into(
-        &self,
-        z: &[f64],
-        e: &[f64],
-        scratch: &mut [f64],
-        z_next: &mut [f64],
-        u_next: &mut [f64],
-    ) -> Result<()> {
-        let s = self.state_dim();
-        if s == 0 {
-            self.dc.mul_vec_into(e, u_next)?;
-            return Ok(());
-        }
-        self.ac.mul_vec_into(z, z_next)?;
-        self.bc.mul_vec_into(e, &mut scratch[..s])?;
-        for (o, v) in z_next.iter_mut().zip(scratch[..s].iter()) {
-            *o += *v;
-        }
-        let r = self.output_dim();
-        self.cc.mul_vec_into(z, u_next)?;
-        self.dc.mul_vec_into(e, &mut scratch[..r])?;
-        for (o, v) in u_next.iter_mut().zip(scratch[..r].iter()) {
-            *o += *v;
-        }
-        Ok(())
-    }
 }
 
 /// A table of controller modes, one per interval in `H` — the paper's

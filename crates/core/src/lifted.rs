@@ -8,7 +8,7 @@
 
 use overrun_linalg::Matrix;
 
-use crate::{ContinuousSs, ControllerMode, ControllerTable, Error, Result};
+use crate::{ContinuousSs, ControllerMode, ControllerTable, DiscreteSs, Error, Result};
 
 /// Builds the lifted closed-loop matrix `Ω(h)` for a single interval and
 /// controller mode (paper Sec. V, with the regulation convention
@@ -52,8 +52,23 @@ pub fn build_omega(
     h: f64,
     measurement: &Matrix,
 ) -> Result<Matrix> {
-    let n = plant.state_dim();
-    let r = plant.input_dim();
+    omega_from_discrete(&plant.discretize(h)?, mode, measurement)
+}
+
+/// [`build_omega`] from an existing discretisation `(Φ(h), Γ(h))`, for
+/// callers that also need the discrete plant (the simulator discretises
+/// each interval once).
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidConfig`] on dimension mismatches.
+pub fn omega_from_discrete(
+    d: &DiscreteSs,
+    mode: &ControllerMode,
+    measurement: &Matrix,
+) -> Result<Matrix> {
+    let n = d.state_dim();
+    let r = d.input_dim();
     let s = mode.state_dim();
     if measurement.cols() != n {
         return Err(Error::InvalidConfig(format!(
@@ -75,9 +90,11 @@ pub fn build_omega(
         )));
     }
 
-    let d = plant.discretize(h)?;
-    let cm_phi = measurement.matmul(&d.phi)?;
-    let cm_gamma = measurement.matmul(&d.gamma)?;
+    // −Cm·Φ and −Cm·Γ, negated once for the four blocks below.
+    let mut neg_cm_phi = measurement.matmul(&d.phi)?;
+    neg_cm_phi.scale_in_place(-1.0);
+    let mut neg_cm_gamma = measurement.matmul(&d.gamma)?;
+    neg_cm_gamma.scale_in_place(-1.0);
 
     let dim = n + s + 2 * r;
     let mut omega = Matrix::zeros(dim, dim);
@@ -89,16 +106,16 @@ pub fn build_omega(
     // Row block 2: z̃[k+1] = Ac z̃[k] − Bc Cm (Φ x[k] + Γ u[k])
     if s > 0 {
         omega
-            .set_block(n, 0, &mode.bc.matmul(&cm_phi)?.scale(-1.0))
+            .set_block(n, 0, &mode.bc.matmul(&neg_cm_phi)?)
             .map_err(Error::Linalg)?;
         omega.set_block(n, n, &mode.ac).map_err(Error::Linalg)?;
         omega
-            .set_block(n, n + s + r, &mode.bc.matmul(&cm_gamma)?.scale(-1.0))
+            .set_block(n, n + s + r, &mode.bc.matmul(&neg_cm_gamma)?)
             .map_err(Error::Linalg)?;
     }
     // Row block 3: ũ[k+1] = Cc z̃[k] − Dc Cm (Φ x[k] + Γ u[k])
     omega
-        .set_block(n + s, 0, &mode.dc.matmul(&cm_phi)?.scale(-1.0))
+        .set_block(n + s, 0, &mode.dc.matmul(&neg_cm_phi)?)
         .map_err(Error::Linalg)?;
     if s > 0 {
         omega
@@ -106,7 +123,7 @@ pub fn build_omega(
             .map_err(Error::Linalg)?;
     }
     omega
-        .set_block(n + s, n + s + r, &mode.dc.matmul(&cm_gamma)?.scale(-1.0))
+        .set_block(n + s, n + s + r, &mode.dc.matmul(&neg_cm_gamma)?)
         .map_err(Error::Linalg)?;
     // Row block 4: u[k+1] = ũ[k]
     omega

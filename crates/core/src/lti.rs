@@ -240,29 +240,6 @@ impl DiscreteSs {
     pub fn step(&self, x: &Matrix, u: &Matrix) -> Result<Matrix> {
         Ok(self.phi.matmul(x)?.add_mat(&self.gamma.matmul(u)?)?)
     }
-
-    /// Allocation-free variant of [`DiscreteSs::step`] on slice buffers:
-    /// writes `Φ x + Γ u` into `out`, using `scratch` for the `Γ u` term.
-    /// Each product and the final addition follow the same operation order
-    /// as [`DiscreteSs::step`], so results are bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape mismatches.
-    pub fn step_into(
-        &self,
-        x: &[f64],
-        u: &[f64],
-        scratch: &mut [f64],
-        out: &mut [f64],
-    ) -> Result<()> {
-        self.phi.mul_vec_into(x, out)?;
-        self.gamma.mul_vec_into(u, scratch)?;
-        for (o, s) in out.iter_mut().zip(scratch.iter()) {
-            *o += *s;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

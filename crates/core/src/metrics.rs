@@ -71,14 +71,29 @@ pub fn random_mode_sequence(
     rng: &mut SmallRng,
     rmin_fraction: f64,
 ) -> Result<Vec<usize>> {
+    let mut modes = vec![0; len];
+    fill_mode_sequence(hset, rng, rmin_fraction, &mut modes)?;
+    Ok(modes)
+}
+
+/// [`random_mode_sequence`] into a caller buffer: fills every slot of
+/// `modes` from the same stream, without allocating.
+///
+/// # Errors
+///
+/// Propagates [`IntervalSet::mode_for_response`] failures.
+pub fn fill_mode_sequence(
+    hset: &IntervalSet,
+    rng: &mut SmallRng,
+    rmin_fraction: f64,
+    modes: &mut [usize],
+) -> Result<()> {
     let rmax = hset.rmax();
     let rmin = (rmin_fraction * rmax).max(rmax * 1e-6);
-    (0..len)
-        .map(|_| {
-            let r = rng.gen_range(rmin..=rmax);
-            hset.mode_for_response(r)
-        })
-        .collect()
+    for m in modes {
+        *m = hset.mode_for_response(rng.gen_range(rmin..=rmax))?;
+    }
+    Ok(())
 }
 
 /// Evaluates the worst-case cost `J_w = max_σ Σ‖e[k]‖²` over an ensemble of
@@ -125,9 +140,9 @@ pub fn evaluate_worst_case(
     // Each sequence draws from its own generator, seeded from the master
     // seed and the sequence index — streams are independent of how the
     // ensemble is scheduled across threads.
-    run_ensemble(sim, scenario, opts, |i| {
+    run_ensemble(sim, scenario, opts, |i, modes| {
         let mut rng = SmallRng::seed_from_u64(derive_seed(opts.seed, i as u64));
-        random_mode_sequence(&hset, opts.jobs_per_sequence, &mut rng, opts.rmin_fraction)
+        fill_mode_sequence(&hset, &mut rng, opts.rmin_fraction, modes)
     })
 }
 
@@ -145,11 +160,12 @@ struct EnsembleAcc {
     diverged: usize,
 }
 
-/// Shared ensemble loop behind both worst-case evaluators: draws one mode
-/// sequence per index from `next_modes`, simulates it (cost-only fast
-/// path), and accumulates the report. Chunks of [`ENSEMBLE_CHUNK`]
-/// sequences are evaluated in parallel and combined in chunk order, so the
-/// report is bit-identical for any thread count.
+/// Shared ensemble loop behind both worst-case evaluators:
+/// `next_modes(i, buf)` draws sequence `i` into a buffer reused across the
+/// chunk, which is simulated (cost-only fast path) and accumulated into
+/// the report. Chunks of [`ENSEMBLE_CHUNK`] sequences are evaluated in
+/// parallel and combined in chunk order, so the report is bit-identical
+/// for any thread count.
 fn run_ensemble<F>(
     sim: &ClosedLoopSim,
     scenario: &SimScenario,
@@ -157,7 +173,7 @@ fn run_ensemble<F>(
     next_modes: F,
 ) -> Result<WorstCaseReport>
 where
-    F: Fn(usize) -> Result<Vec<usize>> + Sync,
+    F: Fn(usize, &mut [usize]) -> Result<()> + Sync,
 {
     if opts.num_sequences == 0 || opts.jobs_per_sequence == 0 {
         return Err(Error::InvalidConfig(
@@ -181,8 +197,9 @@ where
             sum: 0.0,
             diverged: 0,
         };
+        let mut modes = vec![0; opts.jobs_per_sequence];
         for i in lo..hi {
-            let modes = next_modes(i)?;
+            next_modes(i, &mut modes)?;
             let summary = sim.run_cost(scenario, &modes)?;
             if summary.diverged {
                 acc.diverged += 1;
@@ -281,14 +298,15 @@ pub fn evaluate_worst_case_with_model(
             hset.rmax()
         )));
     }
-    run_ensemble(sim, scenario, opts, |i| {
+    run_ensemble(sim, scenario, opts, |i, modes| {
         // Independent sequences: one generator per sequence, seeded
         // deterministically.
         let mut gen = SequenceGenerator::new(model.clone(), opts.seed.wrapping_add(i as u64))?;
-        gen.sequence(opts.jobs_per_sequence)
-            .iter()
-            .map(|r| hset.mode_for_response(r.as_secs_f64().min(hset.rmax())))
-            .collect()
+        let responses = gen.sequence(modes.len());
+        for (m, r) in modes.iter_mut().zip(responses) {
+            *m = hset.mode_for_response(r.as_secs_f64().min(hset.rmax()))?;
+        }
+        Ok(())
     })
 }
 

@@ -4,10 +4,19 @@
 //! job `k`, released at `a_k`, samples the plant, computes its command with
 //! the controller mode selected by the *previous* interval `h_{k−1}`, and
 //! the command takes effect at the next release `a_{k+1} = a_k + h_k`.
+//!
+//! It steps that loop as the switched affine system of paper Sec. V (see
+//! [`lifted`]): with `ξ = [x; z̃; ũ; u]`, job `k` forms `e[k] = r − C_m x[k]`
+//! and its cost terms, then `ξ ← Ω(h_k) ξ + b(h_k)`, where
+//! `b(h) = [0; Bc(h)·r; Dc(h)·r; 0]` carries the reference into the
+//! controller rows. A run starts from `ξ(0) = [x0; z1; u1; 0]`, `(z1, u1)`
+//! being job 0's controller step from rest. Lifts up to `D = 12` (every
+//! plant and controller of the paper and the examples) step with a
+//! const-generic dense kernel on stack buffers.
 
 use overrun_linalg::Matrix;
 
-use crate::{lifted, ContinuousSs, ControllerTable, DiscreteSs, Error, Result};
+use crate::{lifted, ContinuousSs, ControllerTable, Error, Result};
 
 /// Initial condition and reference of a simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,8 +80,8 @@ pub struct CostSummary {
     pub diverged: bool,
 }
 
-/// A reusable closed-loop simulator: plant + controller table with all
-/// per-interval discretisations precomputed.
+/// A reusable closed-loop simulator: plant + controller table with the
+/// lifted `Ω(h)` of every interval precomputed.
 ///
 /// # Example
 ///
@@ -98,12 +107,16 @@ pub struct ClosedLoopSim {
     plant: ContinuousSs,
     table: ControllerTable,
     measurement: Matrix,
-    discretizations: Vec<DiscreteSs>,
+    /// Every `Ω(h)`, column by column, in interval order.
+    omegas: Vec<f64>,
+    /// Every `[Bc; Dc]` (`(s + r) × p`, row-major), in interval order.
+    gains: Vec<f64>,
     divergence_threshold: f64,
 }
 
 impl ClosedLoopSim {
-    /// Builds the simulator, precomputing `Φ(h), Γ(h)` for every `h ∈ H`.
+    /// Builds the simulator, precomputing the lifted `Ω(h)` for every
+    /// `h ∈ H` from one discretisation `Φ(h), Γ(h)` each.
     ///
     /// # Errors
     ///
@@ -111,17 +124,23 @@ impl ClosedLoopSim {
     pub fn new(plant: &ContinuousSs, table: &ControllerTable) -> Result<Self> {
         let _sp = overrun_trace::span!("sim.build", modes = table.len());
         let measurement = lifted::measurement_matrix(plant, table)?;
-        let discretizations = table
-            .hset()
-            .intervals()
-            .iter()
-            .map(|&h| plant.discretize(h))
-            .collect::<Result<Vec<_>>>()?;
+        let mut omegas = Vec::new();
+        let mut gains = Vec::new();
+        for (&h, mode) in table.hset().intervals().iter().zip(table.modes()) {
+            let d = plant.discretize(h)?;
+            let omega = lifted::omega_from_discrete(&d, mode, &measurement)?;
+            for j in 0..omega.cols() {
+                omegas.extend((0..omega.rows()).map(|i| omega[(i, j)]));
+            }
+            gains.extend_from_slice(mode.bc.as_slice());
+            gains.extend_from_slice(mode.dc.as_slice());
+        }
         Ok(ClosedLoopSim {
             plant: plant.clone(),
             table: table.clone(),
             measurement,
-            discretizations,
+            omegas,
+            gains,
             divergence_threshold: 1e9,
         })
     }
@@ -196,9 +215,9 @@ impl ClosedLoopSim {
     }
 
     /// Cost-only fast path: identical dynamics to [`ClosedLoopSim::run`]
-    /// but no per-job trajectory records and no per-step allocation —
-    /// the entry point Monte Carlo ensembles should use. Costs are
-    /// bit-identical to the recording path (both run the same core).
+    /// but no per-job trajectory records and no allocation (for lifts up
+    /// to `D = 12`) — the entry point Monte Carlo ensembles should use.
+    /// Costs are bit-identical to the recording path (same core).
     ///
     /// # Errors
     ///
@@ -228,20 +247,19 @@ impl ClosedLoopSim {
         })
     }
 
-    /// The shared stepping core behind [`ClosedLoopSim::run`] and
-    /// [`ClosedLoopSim::run_cost`]: slice buffers only, zero allocation
-    /// per step. `observe(e, x, u_applied)` is called once per simulated
-    /// job (before the plant update, matching the recording order of the
-    /// original implementation).
+    /// The shared core behind [`ClosedLoopSim::run`] and
+    /// [`ClosedLoopSim::run_cost`]: validates the scenario, then runs the
+    /// job loop. `observe(e, x, u_applied)` is called once per simulated
+    /// job, before the state update.
     fn run_core<F: FnMut(&[f64], &[f64], &[f64])>(
         &self,
         scenario: &SimScenario,
         modes: &[usize],
         initial_mode: usize,
-        mut observe: F,
+        observe: F,
     ) -> Result<(f64, f64, bool)> {
         let n = self.plant.state_dim();
-        let r = self.plant.input_dim();
+        let p = self.table.error_dim();
         if scenario.x0.shape() != (n, 1) {
             return Err(Error::InvalidConfig(format!(
                 "x0 must be {n}x1, got {}x{}",
@@ -249,10 +267,9 @@ impl ClosedLoopSim {
                 scenario.x0.cols()
             )));
         }
-        if scenario.reference.shape() != (self.table.error_dim(), 1) {
+        if scenario.reference.shape() != (p, 1) {
             return Err(Error::InvalidConfig(format!(
-                "reference must be {}x1, got {}x{}",
-                self.table.error_dim(),
+                "reference must be {p}x1, got {}x{}",
                 scenario.reference.rows(),
                 scenario.reference.cols()
             )));
@@ -263,72 +280,99 @@ impl ClosedLoopSim {
                 self.table.len()
             )));
         }
-
-        let nc = self.table.state_dim();
-        let p = self.table.error_dim();
-        if self.measurement.rows() != p {
-            return Err(Error::InvalidConfig(format!(
-                "measurement matrix has {} rows but the controller expects {p}",
-                self.measurement.rows()
-            )));
+        // Lifts up to D = 12 step with the fixed-dimension kernel on a stack
+        // buffer; larger ones with its runtime twin on a heap buffer.
+        macro_rules! dispatch {
+            ($($d:literal)*) => {
+                match n + self.table.state_dim() + 2 * self.plant.input_dim() {
+                    $($d if p <= $d => {
+                        let (buf, step) = (&mut [0.0; 4 * $d], affine_step::<$d>);
+                        self.run_lifted($d, buf, step, scenario, modes, initial_mode, observe)
+                    })*
+                    d => {
+                        let (buf, step) = (&mut vec![0.0; 3 * d + p], affine_step_dyn);
+                        self.run_lifted(d, buf, step, scenario, modes, initial_mode, observe)
+                    }
+                }
+            };
         }
-        let mut x = scenario.x0.as_slice().to_vec();
-        let mut x_next = vec![0.0; n];
-        let mut y = vec![0.0; self.measurement.rows()];
-        let mut e = vec![0.0; p];
-        let mut z = vec![0.0; nc];
-        let mut z_next = vec![0.0; nc];
-        let mut u_applied = vec![0.0; r];
-        let mut u_next = vec![0.0; r];
-        let mut scratch = vec![0.0; nc.max(r).max(n)];
+        dispatch!(1 2 3 4 5 6 7 8 9 10 11 12)
+    }
+
+    /// The job loop on the lifted state of dimension `d`. `buf` is zeroed
+    /// scratch: `d` entries each for `ξ`, its successor and `b`, then at
+    /// least `p` for `e`. `step(Ω, ξ, b, out)` writes `Ω ξ + b` into `out`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn run_lifted<K, F>(
+        &self,
+        d: usize,
+        buf: &mut [f64],
+        step: K,
+        scenario: &SimScenario,
+        modes: &[usize],
+        initial_mode: usize,
+        mut observe: F,
+    ) -> Result<(f64, f64, bool)>
+    where
+        K: Fn(&[f64], &[f64], &[f64], &mut [f64]),
+        F: FnMut(&[f64], &[f64], &[f64]),
+    {
+        let (n, p) = (self.plant.state_dim(), self.table.error_dim());
+        // Rows of `z̃` and `ũ`: the controller block of `ξ` and `b`.
+        let ctl = n..n + self.table.state_dim() + self.plant.input_dim();
+        // `out = [Bc; Dc]·v` for the mode of interval `m`.
+        let gain_len = ctl.len() * p;
+        let controller = |m: usize, v: &[f64], out: &mut [f64]| {
+            mat_vec(&self.gains[m * gain_len..(m + 1) * gain_len], v, out);
+        };
+        let cm = self.measurement.as_slice();
         let reference = scenario.reference.as_slice();
-        let mut prev_mode = initial_mode;
+        let intervals = self.table.hset().intervals();
+        // Under pure regulation `b` stays zero.
+        let tracking = reference.iter().any(|&v| v != 0.0);
+
+        let (mut xi, rest) = buf.split_at_mut(d);
+        let (mut next, rest) = rest.split_at_mut(d);
+        let (b, e) = rest.split_at_mut(d);
+        let e = &mut e[..p];
+        // ξ(0) = [x0; z1; u1; 0]: job 0's controller step from rest, in the
+        // virtual previous interval's mode.
+        xi[..n].copy_from_slice(scenario.x0.as_slice());
+        error_into(cm, reference, &xi[..n], e);
+        controller(initial_mode, e, &mut xi[ctl.clone()]);
 
         let mut cost = 0.0;
         let mut cost_integral = 0.0;
         let mut diverged = false;
-        let intervals = self.table.hset().intervals();
-
-        for (k, &mode_idx) in modes.iter().enumerate() {
-            if mode_idx >= self.table.len() {
+        for (k, &m) in modes.iter().enumerate() {
+            let Some(&h) = intervals.get(m) else {
                 return Err(Error::InvalidConfig(format!(
-                    "mode index {mode_idx} out of range at job {k} (H has {} entries)",
-                    self.table.len()
+                    "mode index {m} out of range at job {k} (H has {} entries)",
+                    intervals.len()
                 )));
-            }
-            // Job k: sample, compute error, run controller with the mode of
-            // the previous interval.
-            self.measurement.mul_vec_into(&x, &mut y)?;
-            for ((ei, &ri), &yi) in e.iter_mut().zip(reference).zip(y.iter()) {
-                *ei = ri - yi;
-            }
-            let mode = self.table.mode(prev_mode);
-            mode.step_into(&z, &e, &mut scratch, &mut z_next, &mut u_next)?;
-            std::mem::swap(&mut z, &mut z_next);
-
-            observe(&e, &x, &u_applied);
+            };
+            error_into(cm, reference, &xi[..n], e);
+            observe(e, &xi[..n], &xi[ctl.end..]);
             let e_sq = e.iter().map(|v| v * v).sum::<f64>();
             cost += e_sq;
-            cost_integral += e_sq * intervals[mode_idx];
+            cost_integral += e_sq * h;
 
-            // Plant evolves over h_k under the currently applied command;
-            // the command computed by job k takes effect at the next
-            // release a_{k+1} (one interval of input–output delay, paper
-            // Sec. III).
-            let d = &self.discretizations[mode_idx];
-            d.step_into(&x, &u_applied, &mut scratch[..n], &mut x_next)?;
-            std::mem::swap(&mut u_applied, &mut u_next);
-            prev_mode = mode_idx;
+            // ξ ← Ω(h_k) ξ + b(h_k). Job k+1 computes with the mode of h_k,
+            // so b(h_k) carries the reference into its controller rows; the
+            // command of job k takes effect at a_{k+1} (paper Sec. III).
+            if tracking {
+                controller(m, reference, &mut b[ctl.clone()]);
+            }
+            step(&self.omegas[m * d * d..(m + 1) * d * d], xi, b, next);
+            std::mem::swap(&mut xi, &mut next);
 
-            if !x_next.iter().all(|v| v.is_finite())
-                || x_next.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-                    > self.divergence_threshold
-            {
+            let bounded = |v: &f64| v.is_finite() && v.abs() <= self.divergence_threshold;
+            if !xi[..n].iter().all(bounded) {
                 diverged = true;
                 // Freeze the state: the trajectory is already classified.
                 break;
             }
-            std::mem::swap(&mut x, &mut x_next);
         }
         if diverged {
             cost = f64::INFINITY;
@@ -338,10 +382,67 @@ impl ClosedLoopSim {
     }
 }
 
+/// `out = Ω ξ + b` for one `D × D` matrix `Ω` stored column by column.
+/// Each `out[i]` sums `Ω_ij ξ_j` in increasing `j` from `0.0` and then adds
+/// `b_i`, the order of a row-wise dot product, but the inner loop runs down
+/// a column, so it vectorises. No zero-skip: measured slower than the dense
+/// loop, as a branch per entry costs more than the multiply it saves.
+#[inline(always)]
+// Index loops, as in `overrun_linalg::small`: measured faster here than
+// zipped iterators.
+#[allow(clippy::needless_range_loop)]
+fn affine_step<const D: usize>(omega: &[f64], xi: &[f64], b: &[f64], out: &mut [f64]) {
+    let (omega, xi) = (&omega.as_chunks::<D>().0[..D], &xi[..D]);
+    let (b, out) = (&b[..D], &mut out[..D]);
+    let mut acc = [0.0; D];
+    for j in 0..D {
+        for i in 0..D {
+            acc[i] += omega[j][i] * xi[j];
+        }
+    }
+    for i in 0..D {
+        out[i] = acc[i] + b[i];
+    }
+}
+
+/// [`affine_step`] with a runtime dimension `d = ξ.len()`: the same loops,
+/// in the same order, accumulating in `out`.
+fn affine_step_dyn(omega: &[f64], xi: &[f64], b: &[f64], out: &mut [f64]) {
+    let d = xi.len();
+    out.fill(0.0);
+    for (j, &xj) in xi.iter().enumerate() {
+        for (o, &w) in out.iter_mut().zip(&omega[j * d..(j + 1) * d]) {
+            *o += w * xj;
+        }
+    }
+    for (o, &bi) in out.iter_mut().zip(b) {
+        *o += bi;
+    }
+}
+
+/// `out = a x` for a row-major `out.len() × x.len()` matrix `a`, each
+/// entry accumulated left to right from `0.0`.
+#[inline(always)]
+fn mat_vec(a: &[f64], x: &[f64], out: &mut [f64]) {
+    let c = x.len();
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = a[i * c..(i + 1) * c].iter().zip(x).fold(0.0, |acc, (w, v)| acc + w * v);
+    }
+}
+
+/// `e = r − C_m x` for a row-major `e.len() × x.len()` measurement `C_m`.
+#[inline(always)]
+fn error_into(cm: &[f64], reference: &[f64], x: &[f64], e: &mut [f64]) {
+    mat_vec(cm, x, e);
+    for (ei, &ri) in e.iter_mut().zip(reference) {
+        *ei = ri - *ei;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{pi, plants, ControllerMode, ControllerTable, IntervalSet};
+    use crate::{lqr, pi, plants, scenarios, ControllerMode, ControllerTable, IntervalSet};
 
     fn setup() -> (ContinuousSs, ControllerTable) {
         let plant = plants::unstable_second_order();
@@ -420,6 +521,43 @@ mod tests {
         let traj = sim.run_with_initial_mode(&scenario, &modes, 1).unwrap();
         let fast = sim.run_cost_with_initial_mode(&scenario, &modes, 1).unwrap();
         assert_eq!(fast.cost.to_bits(), traj.cost.to_bits());
+    }
+
+    /// The runtime-dimension kernel runs the fixed kernels' loops in the
+    /// same order: every cost and recorded value is bit-identical.
+    #[test]
+    fn dynamic_kernel_matches_fixed_kernel_bitwise() {
+        let (plant, table) = setup();
+        let pmsm = plants::pmsm();
+        let hset = IntervalSet::from_timing(50e-6, 1.6 * 50e-6, 2).unwrap();
+        let lqr = lqr::design_adaptive(&pmsm, &hset, &scenarios::pmsm_table2_weights()).unwrap();
+        // PI (D = 5) tracking a step, LQR on the PMSM (D = 9) regulating.
+        let step = SimScenario::step(2, Matrix::col_vec(&[1.0]));
+        let regulation = SimScenario::regulation(Matrix::col_vec(&[1.0; 3]), 3);
+        let cases = [
+            (5, ClosedLoopSim::new(&plant, &table).unwrap(), step),
+            (9, ClosedLoopSim::new(&pmsm, &lqr).unwrap(), regulation),
+        ];
+        let modes: Vec<usize> = (0..200).map(|k| usize::from(k % 3 == 1)).collect();
+        for (d, sim, scenario) in &cases {
+            for initial_mode in [0, 1] {
+                let run = |dynamic: bool| {
+                    let mut bits = Vec::new();
+                    let record = |e: &[f64], x: &[f64], u: &[f64]| {
+                        bits.extend(e.iter().chain(x).chain(u).map(|v| v.to_bits()));
+                    };
+                    let (cost, integral, diverged) = if dynamic {
+                        let (buf, step) = (&mut vec![0.0; 4 * d], affine_step_dyn);
+                        sim.run_lifted(*d, buf, step, scenario, &modes, initial_mode, record)
+                    } else {
+                        sim.run_core(scenario, &modes, initial_mode, record)
+                    }
+                    .unwrap();
+                    (cost.to_bits(), integral.to_bits(), diverged, bits)
+                };
+                assert_eq!(run(false), run(true));
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Const-generic kernels for small square matrices (`n ≤ 8`).
 //!
-//! The lifted closed-loop matrices `Ω(h)` of every plant in the stack live
-//! in dimension 3–8 (`ξ = [x; z̃; ũ; u]`), and the JSR product-tree searches
-//! multiply millions of them. For those sizes the generic row-major loops
-//! in [`crate::Matrix`] spend a measurable fraction of their time on slice
-//! bounds checks and loop-counter overhead. The kernels here are generic
+//! The JSR product-tree searches multiply millions of lifted closed-loop
+//! matrices `Ω(h)` (`ξ = [x; z̃; ũ; u]`, dimension `n + s + 2r`): 5 for the
+//! Table-I PI loop, 9 for the Table-II PMSM LQR and 12 for the PMSM LQG.
+//! Those up to `MAX_DIM` take the kernels here; the larger ones the generic
+//! path. For such sizes the generic row-major loops in [`crate::Matrix`]
+//! spend a measurable fraction of their time on slice bounds checks and
+//! loop-counter overhead. The kernels here are generic
 //! over the dimension `N`, so the compiler fully unrolls the inner loops
 //! and proves every access in bounds (each buffer is viewed as `N` rows of
 //! `[f64; N]` via `as_chunks`) — no `unsafe` required.

@@ -79,6 +79,9 @@ BENCH_JSON=bench_results/BENCH_results.json cargo run --release -q \
   -p overrun-bench --bin table1 -- --sequences 20 --jobs 10 --out bench_results
 test -s bench_results/BENCH_results.json
 
+echo "==> perf ledger: last two committed rows per binary (reads BENCH_*.json only)"
+python3 scripts/ledger.py --compare
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -115,39 +115,8 @@ fn matrix_kernels_allocate_nothing() {
     }
 }
 
-/// Both `step_into`s — the plant update and the controller update of one
-/// simulated job — write into caller buffers only.
-#[test]
-fn step_into_allocates_nothing() {
-    // The Table-I PI loop: a dynamic controller, so both the state and
-    // the output update of `ControllerMode::step_into` run.
-    let plant = plants::unstable_second_order();
-    let hset = IntervalSet::from_timing(0.010, 0.013, 2).unwrap();
-    let dss = plant.discretize(hset.period()).unwrap();
-    let table = pi::design_adaptive(&plant, &hset).unwrap();
-    let mode = table.mode(1);
-    assert!(mode.state_dim() > 0);
-
-    let x = vec![0.3; dss.state_dim()];
-    let u = vec![-0.2; dss.input_dim()];
-    let mut scratch = vec![0.0; dss.state_dim()];
-    let mut x_next = vec![0.0; dss.state_dim()];
-    let z = vec![0.1; mode.state_dim()];
-    let e = vec![0.4; mode.error_dim()];
-    let mut ctl_scratch = vec![0.0; mode.state_dim().max(mode.output_dim())];
-    let mut z_next = vec![0.0; mode.state_dim()];
-    let mut u_next = vec![0.0; mode.output_dim()];
-    let (count, ()) = allocations(|| {
-        dss.step_into(&x, &u, &mut scratch, &mut x_next).unwrap();
-        mode.step_into(&z, &e, &mut ctl_scratch, &mut z_next, &mut u_next)
-            .unwrap();
-    });
-    assert_eq!(count, 0);
-}
-
-/// `run_cost` and `run_cost_with_initial_mode` allocate a fixed set of
-/// buffers up front and nothing per job: 1000 jobs cost exactly as many
-/// allocations as 10.
+/// `run_cost` and `run_cost_with_initial_mode` allocate nothing at all on
+/// the 9-dimensional Table-II lift: no buffers up front, nothing per job.
 #[test]
 fn run_cost_allocations_do_not_grow_with_jobs() {
     let plant = plants::pmsm();
@@ -155,24 +124,15 @@ fn run_cost_allocations_do_not_grow_with_jobs() {
     let table = lqr::design_adaptive(&plant, &hset, &pmsm_table2_weights()).unwrap();
     let sim = ClosedLoopSim::new(&plant, &table).unwrap();
     let scenario = SimScenario::regulation(Matrix::col_vec(&[1.0, -0.5, 2.0]), 3);
-    let modes =
-        |jobs: usize| -> Vec<usize> { (0..jobs).map(|k| usize::from(k % 3 == 1)).collect() };
-    let (short, long) = (modes(10), modes(1000));
-
-    let (a10, r10) = allocations(|| sim.run_cost(&scenario, &short).unwrap());
-    let (a1000, r1000) = allocations(|| sim.run_cost(&scenario, &long).unwrap());
-    assert!(!r10.diverged && !r1000.diverged);
-    assert_eq!(a10, a1000, "run_cost: 10 jobs vs 1000 jobs");
-
-    let (b10, _) = allocations(|| {
-        sim.run_cost_with_initial_mode(&scenario, &short, 1)
-            .unwrap()
-    });
-    let (b1000, _) = allocations(|| sim.run_cost_with_initial_mode(&scenario, &long, 1).unwrap());
-    assert_eq!(
-        b10, b1000,
-        "run_cost_with_initial_mode: 10 jobs vs 1000 jobs"
-    );
+    for jobs in [10, 1000] {
+        let modes: Vec<usize> = (0..jobs).map(|k| usize::from(k % 3 == 1)).collect();
+        let (count, run) = allocations(|| sim.run_cost(&scenario, &modes).unwrap());
+        assert!(!run.diverged);
+        assert_eq!(count, 0, "run_cost, {jobs} jobs");
+        let (count, _) =
+            allocations(|| sim.run_cost_with_initial_mode(&scenario, &modes, 1).unwrap());
+        assert_eq!(count, 0, "run_cost_with_initial_mode, {jobs} jobs");
+    }
 }
 
 /// The ellipsoid solver sets up its workspace once: a budget of 3, 30 or
