@@ -60,7 +60,6 @@ pub mod plants;
 pub mod scenarios;
 pub mod sim;
 pub mod stability;
-pub mod tuning;
 
 pub use controller::{ControllerMode, ControllerTable};
 pub use error::Error;

@@ -6,11 +6,14 @@
 //! calling thread, callees included, so a helper that starts allocating is
 //! caught as surely as an allocation written into the hot path itself.
 //! Counts are per thread, so the test harness running tests concurrently
-//! does not disturb them.
+//! does not disturb them. The one test that installs the process-wide
+//! trace sink holds [`serial`], as does every count, so no other test's
+//! trace events land in a count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use overrun_control::prelude::*;
 use overrun_control::scenarios::pmsm_table2_weights;
@@ -20,6 +23,7 @@ use overrun_jsr::{
     ScreenStats,
 };
 use overrun_linalg::{cheap_spectral_bounds, norm_2, spectral_radius, Matrix};
+use overrun_trace::NoopClock;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -60,6 +64,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Serialises the tests of this binary: one installs the trace sink.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Allocations made on this thread while `f` runs, and its result.
 fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCATIONS.with(Cell::get);
@@ -97,6 +108,7 @@ fn table2_set() -> MatrixSet {
 /// beyond.
 #[test]
 fn matrix_kernels_allocate_nothing() {
+    let _serial = serial();
     for n in 1..=12 {
         let a = test_matrix(n, 1);
         let b = test_matrix(n, 2);
@@ -119,6 +131,7 @@ fn matrix_kernels_allocate_nothing() {
 /// the 9-dimensional Table-II lift: no buffers up front, nothing per job.
 #[test]
 fn run_cost_allocations_do_not_grow_with_jobs() {
+    let _serial = serial();
     let plant = plants::pmsm();
     let hset = IntervalSet::from_timing(50e-6, 1.3 * 50e-6, 2).unwrap();
     let table = lqr::design_adaptive(&plant, &hset, &pmsm_table2_weights()).unwrap();
@@ -140,6 +153,7 @@ fn run_cost_allocations_do_not_grow_with_jobs() {
 /// `newton_step` itself allocates nothing.
 #[test]
 fn newton_steps_allocate_nothing() {
+    let _serial = serial();
     let set = table2_set();
     let counts: Vec<u64> = [3, 30, 300]
         .iter()
@@ -162,6 +176,7 @@ fn newton_steps_allocate_nothing() {
 /// screened node, and nothing else per expanded node.
 #[test]
 fn expand_node_allocates_only_for_survivors_and_exact_evaluations() {
+    let _serial = serial();
     // Two 6 × 6 matrices: inside the fixed-size screening kernels
     // (n ≤ 8), with a tree deep and bushy enough that most nodes are
     // screened out.
@@ -234,4 +249,57 @@ fn assert_search_allocations(set: &MatrixSet) -> ScreenStats {
          ({norm_cost}/norm_2, {rho_cost}/spectral_radius; {stats})"
     );
     stats
+}
+
+/// PI tuning allocates for its set-up, for Nelder–Mead's short vectors and
+/// for the eigen-solve of each `ρ(Ω(h))` evaluation — nothing per job of
+/// the 400-job step response it scores.
+#[test]
+fn pi_tuning_allocates_only_for_eigen_solves() {
+    let _serial = serial();
+    let plant = plants::unstable_second_order();
+    let h = 0.010;
+
+    // Objective evaluations: each phase scans the 256-point signed gain
+    // grid, then runs Nelder–Mead, whose evaluation counts the trace holds.
+    assert!(overrun_trace::install(NoopClock), "no sink is active");
+    let traced = pi::tune_for_interval(&plant, h).unwrap();
+    let totals = overrun_trace::finish().unwrap().counter_totals();
+    let nm_evals = totals["pi.margin_evals"] + totals["pi.nm_evals"];
+    let evals = 2 * 256 + nm_evals;
+
+    let (count, gains) = allocations(|| pi::tune_for_interval(&plant, h).unwrap());
+    assert_eq!(gains, traced, "tracing changed the tuned gains");
+
+    // Per-call cost of the eigen-solve: the worst case over the lifts of
+    // the grid's gain magnitudes, both signs.
+    let mags = [0.5, 8.0, 100.0, 3000.0];
+    let rho_cost = mags
+        .iter()
+        .flat_map(|&kp| mags.iter().flat_map(move |&ki| [(kp, ki), (-kp, -ki)]))
+        .map(|(kp, ki)| {
+            let mode = pi::mode_for_gains(kp, ki, h).unwrap();
+            let omega = lifted::build_omega(&plant, &mode, h, &plant.c).unwrap();
+            allocations(|| black_box(spectral_radius(&omega).unwrap())).0
+        })
+        .max()
+        .unwrap();
+    // Set-up: one discretisation and lift, plus `−C·Φ` and two state
+    // buffers.
+    let lift = allocations(|| {
+        let mode = pi::mode_for_gains(1.0, 1.0, h).unwrap();
+        black_box(lifted::build_omega(&plant, &mode, h, &plant.c).unwrap())
+    })
+    .0;
+    let setup = lift + 3;
+    // Nelder–Mead: per evaluation at most a centroid, a copy of the worst
+    // vertex and the trial point; per run a three-vertex simplex.
+    let simplex = 3 * nm_evals + 2 * 4;
+    let allowed = evals * rho_cost + simplex + setup;
+    assert!(
+        count <= allowed,
+        "{count} allocations > {allowed} allowed ({evals} evaluations, \
+         {rho_cost}/spectral_radius, {nm_evals} Nelder–Mead evaluations, \
+         {setup} set-up)"
+    );
 }
