@@ -74,6 +74,9 @@ rm -rf bench_results/table2_cache bench_results/table2.cold.csv bench_results/ta
 echo "==> golden CSV data sections (refresh with UPDATE_GOLDEN=1 after intentional changes)"
 cargo test --release -q -p overrun-bench --test golden_csv
 
+echo "==> golden CSV data sections at OVERRUN_THREADS=4"
+OVERRUN_THREADS=4 cargo test --release -q -p overrun-bench --test golden_csv
+
 echo "==> bench JSON smoke (table1, reduced)"
 BENCH_JSON=bench_results/BENCH_results.json cargo run --release -q \
   -p overrun-bench --bin table1 -- --sequences 20 --jobs 10 --out bench_results

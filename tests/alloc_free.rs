@@ -93,9 +93,15 @@ fn test_matrix(n: usize, salt: usize) -> Matrix {
 
 /// The Table-II lifted matrix set for the `Rmax = 1.3 T`, `Ns = 2` cell.
 fn table2_set() -> MatrixSet {
+    table2_set_at(1.3, 2)
+}
+
+/// The Table-II lifted matrix set (adaptive design) for `Rmax =
+/// rmax_factor·T` and `Ns`.
+fn table2_set_at(rmax_factor: f64, ns: u32) -> MatrixSet {
     let plant = plants::pmsm();
     let t = 50e-6;
-    let hset = IntervalSet::from_timing(t, 1.3 * t, 2).unwrap();
+    let hset = IntervalSet::from_timing(t, rmax_factor * t, ns).unwrap();
     let table = lqr::design_adaptive(&plant, &hset, &pmsm_table2_weights()).unwrap();
     let meas = lifted::measurement_matrix(&plant, &table).unwrap();
     MatrixSet::new(lifted::build_omega_set(&plant, &table, &meas).unwrap()).unwrap()
@@ -150,22 +156,44 @@ fn run_cost_allocations_do_not_grow_with_jobs() {
 
 /// The ellipsoid solver sets up its workspace once: a budget of 3, 30 or
 /// 300 Newton steps costs the same number of allocations, so
-/// `newton_step` itself allocates nothing.
+/// `newton_step` itself allocates nothing. Checked on alphabets of 2 and
+/// 4 members, whose Hessians take compile-time-length dot products, and
+/// on the 9 length-2 products of a 3-member set, whose Hessian takes the
+/// runtime-length arm.
 #[test]
 fn newton_steps_allocate_nothing() {
     let _serial = serial();
-    let set = table2_set();
-    let counts: Vec<u64> = [3, 30, 300]
+    let three = table2_set_at(1.6, 2);
+    assert_eq!(three.len(), 3);
+    let squares: Vec<Matrix> = three
         .iter()
-        .map(|&max_newton_steps| {
-            let opts = EllipsoidOptions { max_newton_steps };
-            allocations(|| optimize_ellipsoid(&set, &opts).unwrap()).0
-        })
+        .flat_map(|a| three.iter().map(move |b| b.matmul(a).unwrap()))
         .collect();
-    assert!(
-        counts.iter().all(|&c| c == counts[0]),
-        "allocations at 3/30/300 Newton steps: {counts:?}"
-    );
+    let sets = [
+        table2_set(),
+        table2_set_at(1.6, 5),
+        MatrixSet::new(squares).unwrap(),
+    ];
+    for (set, members) in sets.iter().zip([2, 4, 9]) {
+        assert_eq!(set.len(), members);
+        let (counts, bounds): (Vec<u64>, Vec<f64>) = [3, 30, 300]
+            .iter()
+            .map(|&max_newton_steps| {
+                let opts = EllipsoidOptions { max_newton_steps };
+                let (count, e) = allocations(|| optimize_ellipsoid(set, &opts).unwrap());
+                (count, e.norm_bound)
+            })
+            .unzip();
+        assert!(
+            counts.iter().all(|&c| c == counts[0]),
+            "{members} members: allocations at 3/30/300 Newton steps: {counts:?}"
+        );
+        // The budget binds: more steps reach a tighter bound.
+        assert!(
+            bounds[0] > bounds[1] && bounds[1] > bounds[2],
+            "{members} members: bounds at 3/30/300 Newton steps: {bounds:?}"
+        );
+    }
 }
 
 /// Gripenberg's `expand_node` allocates by design: each surviving child
