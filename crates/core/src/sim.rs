@@ -10,8 +10,10 @@
 //! and its cost terms, then `ξ ← Ω(h_k) ξ + b(h_k)`, where
 //! `b(h) = [0; Bc(h)·r; Dc(h)·r; 0]` carries the reference into the
 //! controller rows. A run starts from `ξ(0) = [x0; z1; u1; 0]`, `(z1, u1)`
-//! being job 0's controller step from rest. Lifts up to `D = 12` (every
-//! plant and controller of the paper and the examples) step with a
+//! being job 0's controller step from rest. A run forms the offset
+//! `b(h)` of every interval once, before the job loop, which then only
+//! indexes them. Lifts up to `D = 12` over up to 8 intervals (every plant,
+//! controller and interval set of the paper and the examples) step with a
 //! const-generic dense kernel on stack buffers.
 
 use overrun_linalg::Matrix;
@@ -280,17 +282,20 @@ impl ClosedLoopSim {
                 self.table.len()
             )));
         }
-        // Lifts up to D = 12 step with the fixed-dimension kernel on a stack
-        // buffer; larger ones with its runtime twin on a heap buffer.
+        // Lifts up to D = 12 over up to 8 intervals step with the
+        // fixed-dimension kernel on a stack buffer; others with its runtime
+        // twin on a heap buffer.
+        let q = self.table.len();
         macro_rules! dispatch {
             ($($d:literal)*) => {
                 match n + self.table.state_dim() + 2 * self.plant.input_dim() {
-                    $($d if p <= $d => {
-                        let (buf, step) = (&mut [0.0; 4 * $d], affine_step::<$d>);
+                    $($d if p <= $d && q <= MAX_STACK_MODES => {
+                        let buf = &mut [0.0; (MAX_STACK_MODES + 3) * $d];
+                        let step = affine_step::<$d>;
                         self.run_lifted($d, buf, step, scenario, modes, initial_mode, observe)
                     })*
                     d => {
-                        let (buf, step) = (&mut vec![0.0; 3 * d + p], affine_step_dyn);
+                        let (buf, step) = (&mut vec![0.0; (q + 2) * d + p], affine_step_dyn);
                         self.run_lifted(d, buf, step, scenario, modes, initial_mode, observe)
                     }
                 }
@@ -300,8 +305,9 @@ impl ClosedLoopSim {
     }
 
     /// The job loop on the lifted state of dimension `d`. `buf` is zeroed
-    /// scratch: `d` entries each for `ξ`, its successor and `b`, then at
-    /// least `p` for `e`. `step(Ω, ξ, b, out)` writes `Ω ξ + b` into `out`.
+    /// scratch: `d` entries each for `ξ` and its successor, `d` for the
+    /// offset `b(h)` of each of the `q` intervals, then at least `p` for
+    /// `e`. `step(Ω, ξ, b, out)` writes `Ω ξ + b` into `out`.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn run_lifted<K, F>(
@@ -321,26 +327,29 @@ impl ClosedLoopSim {
         let (n, p) = (self.plant.state_dim(), self.table.error_dim());
         // Rows of `z̃` and `ũ`: the controller block of `ξ` and `b`.
         let ctl = n..n + self.table.state_dim() + self.plant.input_dim();
-        // `out = [Bc; Dc]·v` for the mode of interval `m`.
+        // `[Bc; Dc]` of the mode of interval `m`.
         let gain_len = ctl.len() * p;
-        let controller = |m: usize, v: &[f64], out: &mut [f64]| {
-            mat_vec(&self.gains[m * gain_len..(m + 1) * gain_len], v, out);
-        };
+        let gains = |m: usize| &self.gains[m * gain_len..(m + 1) * gain_len];
         let cm = self.measurement.as_slice();
         let reference = scenario.reference.as_slice();
         let intervals = self.table.hset().intervals();
-        // Under pure regulation `b` stays zero.
-        let tracking = reference.iter().any(|&v| v != 0.0);
 
         let (mut xi, rest) = buf.split_at_mut(d);
         let (mut next, rest) = rest.split_at_mut(d);
-        let (b, e) = rest.split_at_mut(d);
+        let (offsets, e) = rest.split_at_mut(intervals.len() * d);
         let e = &mut e[..p];
+        // b(h_m) = [0; Bc(h_m)·r; Dc(h_m)·r; 0] for every interval, formed
+        // once per run. Under pure regulation they stay zero.
+        if reference.iter().any(|&v| v != 0.0) {
+            for (m, b) in offsets.chunks_exact_mut(d).enumerate() {
+                mat_vec(gains(m), reference, &mut b[ctl.clone()]);
+            }
+        }
         // ξ(0) = [x0; z1; u1; 0]: job 0's controller step from rest, in the
         // virtual previous interval's mode.
         xi[..n].copy_from_slice(scenario.x0.as_slice());
         error_into(cm, reference, &xi[..n], e);
-        controller(initial_mode, e, &mut xi[ctl.clone()]);
+        mat_vec(gains(initial_mode), e, &mut xi[ctl.clone()]);
 
         let mut cost = 0.0;
         let mut cost_integral = 0.0;
@@ -361,10 +370,8 @@ impl ClosedLoopSim {
             // ξ ← Ω(h_k) ξ + b(h_k). Job k+1 computes with the mode of h_k,
             // so b(h_k) carries the reference into its controller rows; the
             // command of job k takes effect at a_{k+1} (paper Sec. III).
-            if tracking {
-                controller(m, reference, &mut b[ctl.clone()]);
-            }
-            step(&self.omegas[m * d * d..(m + 1) * d * d], xi, b, next);
+            let (omega, b) = (m * d * d..(m + 1) * d * d, m * d..(m + 1) * d);
+            step(&self.omegas[omega], xi, &offsets[b], next);
             std::mem::swap(&mut xi, &mut next);
 
             let bounded = |v: &f64| v.is_finite() && v.abs() <= self.divergence_threshold;
@@ -381,6 +388,10 @@ impl ClosedLoopSim {
         Ok((cost, cost_integral, diverged))
     }
 }
+
+/// The most intervals whose offsets `b(h)` a run keeps on the stack: every
+/// interval set of the paper's tables and of `ts_tradeoff` (`#H ≤ 7`).
+const MAX_STACK_MODES: usize = 8;
 
 /// `out = Ω ξ + b` for one `D × D` matrix `Ω` stored column by column.
 /// Each `out[i]` sums `Ω_ij ξ_j` in increasing `j` from `0.0` and then adds
@@ -547,7 +558,8 @@ mod tests {
                         bits.extend(e.iter().chain(x).chain(u).map(|v| v.to_bits()));
                     };
                     let (cost, integral, diverged) = if dynamic {
-                        let (buf, step) = (&mut vec![0.0; 4 * d], affine_step_dyn);
+                        let len = (sim.table().len() + 3) * d;
+                        let (buf, step) = (&mut vec![0.0; len], affine_step_dyn);
                         sim.run_lifted(*d, buf, step, scenario, &modes, initial_mode, record)
                     } else {
                         sim.run_core(scenario, &modes, initial_mode, record)

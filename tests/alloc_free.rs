@@ -133,24 +133,40 @@ fn matrix_kernels_allocate_nothing() {
     }
 }
 
-/// `run_cost` and `run_cost_with_initial_mode` allocate nothing at all on
-/// the 9-dimensional Table-II lift: no buffers up front, nothing per job.
+/// `run_cost` and `run_cost_with_initial_mode` allocate nothing at all:
+/// no buffers up front, nothing per job. Checked on the 9-dimensional
+/// Table-II lift under regulation, and on PI step tracking over 4 and 7
+/// intervals, whose per-interval reference offsets live on the stack.
 #[test]
 fn run_cost_allocations_do_not_grow_with_jobs() {
     let _serial = serial();
-    let plant = plants::pmsm();
+    let pmsm = plants::pmsm();
     let hset = IntervalSet::from_timing(50e-6, 1.3 * 50e-6, 2).unwrap();
-    let table = lqr::design_adaptive(&plant, &hset, &pmsm_table2_weights()).unwrap();
-    let sim = ClosedLoopSim::new(&plant, &table).unwrap();
-    let scenario = SimScenario::regulation(Matrix::col_vec(&[1.0, -0.5, 2.0]), 3);
-    for jobs in [10, 1000] {
-        let modes: Vec<usize> = (0..jobs).map(|k| usize::from(k % 3 == 1)).collect();
-        let (count, run) = allocations(|| sim.run_cost(&scenario, &modes).unwrap());
-        assert!(!run.diverged);
-        assert_eq!(count, 0, "run_cost, {jobs} jobs");
-        let (count, _) =
-            allocations(|| sim.run_cost_with_initial_mode(&scenario, &modes, 1).unwrap());
-        assert_eq!(count, 0, "run_cost_with_initial_mode, {jobs} jobs");
+    let table = lqr::design_adaptive(&pmsm, &hset, &pmsm_table2_weights()).unwrap();
+    let mut cases = vec![(
+        "lqr regulation",
+        ClosedLoopSim::new(&pmsm, &table).unwrap(),
+        SimScenario::regulation(Matrix::col_vec(&[1.0, -0.5, 2.0]), 3),
+    )];
+    let plant = plants::unstable_second_order();
+    for (label, ns, q) in [("pi step, q = 4", 5, 4), ("pi step, q = 7", 10, 7)] {
+        let hset = IntervalSet::from_timing(0.010, 1.6 * 0.010, ns).unwrap();
+        assert_eq!(hset.len(), q);
+        let table = pi::design_adaptive(&plant, &hset).unwrap();
+        let sim = ClosedLoopSim::new(&plant, &table).unwrap();
+        cases.push((label, sim, SimScenario::step(2, Matrix::col_vec(&[1.0]))));
+    }
+    for (label, sim, scenario) in &cases {
+        let q = sim.table().len();
+        for jobs in [10, 1000] {
+            let modes: Vec<usize> = (0..jobs).map(|k| (k * 5 + k / 7) % q).collect();
+            let (count, run) = allocations(|| sim.run_cost(scenario, &modes).unwrap());
+            assert!(!run.diverged, "{label}");
+            assert_eq!(count, 0, "{label}: run_cost, {jobs} jobs");
+            let (count, _) =
+                allocations(|| sim.run_cost_with_initial_mode(scenario, &modes, 1).unwrap());
+            assert_eq!(count, 0, "{label}: run_cost_with_initial_mode, {jobs} jobs");
+        }
     }
 }
 

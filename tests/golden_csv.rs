@@ -1,6 +1,7 @@
 //! Golden-file regression tests: the CSV *data* sections of the paper
-//! artifacts (`table1.csv`, `table2.csv`, `figure1.csv`) are pinned
-//! byte-for-byte against checked-in snapshots in `tests/`.
+//! artifacts (`table1.csv`, `table2.csv`, `figure1.csv`) and the Monte
+//! Carlo columns of `ts_tradeoff.csv` are pinned byte-for-byte against
+//! checked-in snapshots in `tests/`.
 //!
 //! The snapshots deliberately exclude the bench binaries' `# run:` header
 //! comment (timestamp-free determinism); everything else — the column
@@ -20,7 +21,11 @@
 use std::path::PathBuf;
 
 use overrun_control::plants;
-use overrun_control::scenarios::{pmsm_table2_weights, table1, table2, ExperimentConfig};
+use overrun_control::scenarios::{
+    granularity_sweep_with, pmsm_table2_weights, table1, table2, CertifyFn, ExperimentConfig,
+};
+use overrun_control::stability::StabilityReport;
+use overrun_jsr::{JsrBounds, ScreenStats, StabilityVerdict};
 use overrun_linalg::Matrix;
 use overrun_rtsim::{trace_to_csv, OverrunPolicy, Span};
 
@@ -118,6 +123,39 @@ fn table2_csv_matches_golden() {
         ));
     }
     check_golden("table2.csv", &csv);
+}
+
+/// `ts_tradeoff --quick`'s Monte Carlo columns `(ns, h_count,
+/// jw_adaptive)`, pinned: PI at `T = 10 ms`, `Rmax = 1.6 T`, up to
+/// `#H = 7` intervals. The certification is stubbed out, so this pins the
+/// mode draws and the simulation alone.
+#[test]
+fn ts_tradeoff_csv_matches_golden() {
+    let plant = plants::unstable_second_order();
+    let uncertified: CertifyFn = &|_, _, _| {
+        Ok(StabilityReport {
+            bounds: JsrBounds {
+                lower: 0.0,
+                upper: f64::INFINITY,
+            },
+            verdict: StabilityVerdict::Unknown,
+            screen: ScreenStats::default(),
+        })
+    };
+    let rows = granularity_sweep_with(
+        &plant,
+        0.010,
+        1.6,
+        &[1, 2, 4, 5, 10],
+        &quick_config(),
+        uncertified,
+    )
+    .expect("granularity sweep");
+    let mut csv = String::from("ns,h_count,jw_adaptive\n");
+    for r in &rows {
+        csv.push_str(&format!("{},{},{}\n", r.ns, r.h_count, r.jw_adaptive));
+    }
+    check_golden("ts_tradeoff.csv", &csv);
 }
 
 /// Figure 1 job trace (`figure1`), pinned: `Ns = 8`, job 2 overruns past

@@ -173,6 +173,21 @@ fn pi_unstable_second_order() {
     }
 }
 
+/// PI step tracking over `#H = 11` intervals (`Rmax = 3 T`, `Ns = 5`):
+/// more than the simulator keeps offsets for on the stack, so it runs the
+/// runtime-dimension arm with the offsets on the heap.
+#[test]
+fn pi_tracking_beyond_stack_offsets() {
+    let plant = plants::unstable_second_order();
+    let t = 0.010;
+    let hset = IntervalSet::from_timing(t, 3.0 * t, 5).unwrap();
+    assert_eq!(hset.len(), 11);
+    let table = pi::design_adaptive(&plant, &hset).unwrap();
+    let sc = scenarios(&plant, &table, &[1.0, -0.5]);
+    let diverged = check("pi adaptive, 11 intervals", &plant, &table, &sc, THRESHOLD);
+    assert_eq!(diverged, 0, "the adaptive design stays bounded");
+}
+
 /// The Table-II loop: adaptive and fixed-`T` LQR on the PMSM (`D = 9`),
 /// at the `Rmax = 1.6 T, Ts = T/2` cell whose fixed-`T` design is unstable.
 #[test]
