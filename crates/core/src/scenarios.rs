@@ -8,7 +8,7 @@ use overrun_jsr::{JsrBounds, ScreenStats};
 use overrun_linalg::Matrix;
 
 use crate::lqr::LqrWeights;
-use crate::metrics::{evaluate_worst_case, WorstCaseOptions};
+use crate::metrics::{evaluate_worst_case, Ensemble, WorstCaseOptions};
 use crate::sim::{ClosedLoopSim, SimScenario};
 use crate::stability::{certify, CertifyOptions, StabilityReport};
 use crate::{pi, ContinuousSs, ControllerTable, IntervalSet, Result};
@@ -116,10 +116,12 @@ pub fn table1(plant: &ContinuousSs, t: f64, cfg: &ExperimentConfig) -> Result<Ve
             let fixed_rmax = pi::design_fixed(plant, &hset, rmax)?;
 
             let scenario = SimScenario::step(plant.state_dim(), Matrix::col_vec(&[1.0]));
-            let opts = cfg.worst_case_options();
+            // The three designs share the interval set, so one draw serves
+            // them all.
+            let ensemble = Ensemble::draw(&hset, &cfg.worst_case_options())?;
             let jw = |table: &ControllerTable| -> Result<f64> {
                 let sim = ClosedLoopSim::new(plant, table)?;
-                Ok(evaluate_worst_case(&sim, &scenario, &opts)?.worst_cost)
+                Ok(ensemble.evaluate(&sim, &scenario)?.worst_cost)
             };
             rows.push(Table1Row {
                 rmax_factor: factor,
@@ -209,7 +211,7 @@ pub fn table2_with(
 
             let report = certify_table(&adaptive)?;
 
-            let opts = cfg.worst_case_options();
+            let ensemble = Ensemble::draw(&hset, &cfg.worst_case_options())?;
             // A strategy's cell reads "unstable" when the JSR analysis
             // certifies instability (paper methodology) or any simulated
             // sequence diverges.
@@ -218,7 +220,7 @@ pub fn table2_with(
                     return Ok(None);
                 }
                 let sim = ClosedLoopSim::new(plant, table)?;
-                let rep = evaluate_worst_case(&sim, &scenario, &opts)?;
+                let rep = ensemble.evaluate(&sim, &scenario)?;
                 Ok(if rep.all_stable() {
                     Some(rep.worst_integral_cost)
                 } else {

@@ -34,10 +34,11 @@ fn traced<R>(f: impl FnOnce() -> R) -> (R, Trace) {
     (out, trace)
 }
 
-/// Monte Carlo counters (`mc.sequences`, `mc.jobs`) total the same at any
-/// worker-thread count — per-chunk emission plus the worker-exit flush in
-/// `overrun-par` makes the aggregate scheduling-independent — while the
-/// worst-case report itself stays bit-identical.
+/// Monte Carlo counters (`mc.sequences`, `mc.jobs`, `mc.steps`) total the
+/// same at any worker-thread count — per-chunk and per-block emission plus
+/// the worker-exit flush in `overrun-par` makes the aggregate
+/// scheduling-independent — while the worst-case report itself stays
+/// bit-identical.
 #[test]
 fn mc_counter_totals_are_thread_count_invariant() {
     let _guard = serialize();
@@ -89,6 +90,17 @@ fn mc_counter_totals_are_thread_count_invariant() {
     assert_eq!(
         serial_totals.get("mc.jobs"),
         Some(&((opts.num_sequences * opts.jobs_per_sequence) as u64))
+    );
+
+    // Simulated steps: fixed blocks of the sorted order make them
+    // thread-count invariant, and shared prefixes make them fewer than
+    // the logical jobs on this two-interval set.
+    let steps = serial_totals.get("mc.steps").copied().unwrap_or(0);
+    assert_eq!(Some(&steps), parallel_totals.get("mc.steps"), "mc.steps");
+    assert!(
+        0 < steps && steps < serial_totals["mc.jobs"],
+        "{steps} steps for {} jobs",
+        serial_totals["mc.jobs"]
     );
 
     // Histograms merge to the same aggregate as well.
