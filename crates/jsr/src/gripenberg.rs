@@ -156,6 +156,7 @@ pub fn gripenberg_with_stats(
     if opts.ellipsoid {
         let _sp = overrun_trace::span!("jsr.ellipsoid");
         let ell = crate::ellipsoid::optimize_ellipsoid(set, &Default::default())?;
+        overrun_trace::counter!("jsr.ellipsoid.newton_steps", ell.newton_steps as u64);
         ellipsoid_bound = ell.norm_bound;
         ell_set = ell.transform(set)?;
         set = &ell_set;

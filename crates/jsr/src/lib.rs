@@ -65,7 +65,7 @@ pub use set::MatrixSet;
 /// for a given input are a function of it. Result caches key on it, so it
 /// must change whenever a bound can move (a new optimiser, tolerance or
 /// search rule), or a cache would keep serving the old bounds.
-pub const CERTIFIER_REVISION: &str = "ellipsoid-lmi-centres-1";
+pub const CERTIFIER_REVISION: &str = "ellipsoid-lmi-centres-2";
 
 /// Convenience alias for `Result<T, overrun_jsr::Error>`.
 pub type Result<T> = std::result::Result<T, Error>;

@@ -110,6 +110,40 @@ fn mc_counter_totals_are_thread_count_invariant() {
     assert_eq!(sh.max.to_bits(), ph.max.to_bits());
 }
 
+/// The ellipsoid's Newton steps total the same at any worker-thread count:
+/// the method of centres runs serially inside each certification.
+#[test]
+fn ellipsoid_newton_steps_are_thread_count_invariant() {
+    let _guard = serialize();
+    let plant = plants::unstable_second_order();
+    let hset = IntervalSet::from_timing(0.010, 0.013, 2).unwrap();
+    let table = pi::design_adaptive(&plant, &hset).unwrap();
+
+    let mut runs = Vec::new();
+    for threads in [1usize, 4] {
+        set_thread_override(Some(threads));
+        runs.push(traced(|| {
+            stability::certify(&plant, &table, &Default::default()).unwrap()
+        }));
+    }
+    set_thread_override(None);
+
+    let (serial_report, serial_trace) = &runs[0];
+    let (parallel_report, parallel_trace) = &runs[1];
+    assert_eq!(
+        serial_report.bounds.upper.to_bits(),
+        parallel_report.bounds.upper.to_bits()
+    );
+    let key = "jsr.ellipsoid.newton_steps";
+    let steps = serial_trace.counter_totals().get(key).copied().unwrap_or(0);
+    assert!(steps > 0, "{key} must be counted at all");
+    assert_eq!(
+        Some(&steps),
+        parallel_trace.counter_totals().get(key),
+        "{key} differs across thread counts"
+    );
+}
+
 /// A real Table-II-style certification exports one JSONL line per event,
 /// and its span opens and closes balance.
 #[test]
