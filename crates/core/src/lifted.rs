@@ -5,6 +5,14 @@
 //! overrun policy becomes a switching linear system whose dynamic matrix
 //! depends on the *current* interval `h_k` only — the key trick that keeps
 //! the stability analysis over `#H` matrices instead of `#H²`.
+//!
+//! For the delayed LQR ([`crate::lqr`]) the controller state is the last
+//! command, `z[k] = u[k]`, realised with `Ac = Cc` and `Bc = Dc`; the `z̃`
+//! and `ũ` row blocks of every `Ω(h)` are then the same bit for bit, so the
+//! lifted state holds the controller state twice and every `Ω(h)` maps into
+//! `{z̃ = ũ}`. The JSR layer removes such repeated coordinates before it
+//! certifies ([`overrun_jsr::deflate`]: the Table II sets go from 9 to 7
+//! dimensions); the matrices built here keep the paper's layout.
 
 use overrun_linalg::Matrix;
 
@@ -308,6 +316,40 @@ mod tests {
             measurement_matrix(&plant, &t_state).unwrap(),
             Matrix::identity(2)
         );
+    }
+
+    /// The delayed LQR's `z̃` and `ũ` rows repeat bit for bit and deflate
+    /// away (PMSM, 9 → 7); a PI loop has no repeated row and stays at 5.
+    #[test]
+    fn delayed_lqr_repeats_its_controller_state() {
+        use overrun_jsr::{deflate, MatrixSet};
+
+        let plant = plants::pmsm();
+        let t = 50e-6;
+        let hset = IntervalSet::from_timing(t, 1.6 * t, 2).unwrap();
+        let weights = crate::scenarios::pmsm_table2_weights();
+        for table in [
+            crate::lqr::design_adaptive(&plant, &hset, &weights).unwrap(),
+            crate::lqr::design_fixed(&plant, &hset, &weights, t).unwrap(),
+        ] {
+            let meas = measurement_matrix(&plant, &table).unwrap();
+            let omegas = build_omega_set(&plant, &table, &meas).unwrap();
+            for o in &omegas {
+                assert_eq!(o.shape(), (9, 9));
+                for i in 3..5 {
+                    assert_eq!(o.row(i), o.row(i + 2), "row {i}");
+                }
+            }
+            let set = MatrixSet::new(omegas).unwrap();
+            assert_eq!(deflate(&set).unwrap().dim(), 7);
+        }
+
+        let plant = plants::unstable_second_order();
+        let hset = IntervalSet::from_timing(0.010, 0.016, 5).unwrap();
+        let table = crate::pi::design_adaptive(&plant, &hset).unwrap();
+        let omegas = build_omega_set(&plant, &table, &plant.c).unwrap();
+        let set = MatrixSet::new(omegas).unwrap();
+        assert_eq!(deflate(&set).unwrap().dim(), 5);
     }
 
     #[test]

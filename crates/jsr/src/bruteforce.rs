@@ -4,7 +4,7 @@ use overrun_linalg::{norm_2, spectral_radius, Matrix};
 
 use crate::screen::{scale_pow, scaled_cheap_bounds, ScreenCounters, ScreenStats};
 use crate::set::normalize_log;
-use crate::{precondition, Error, JsrBounds, MatrixSet, Result};
+use crate::{deflate, precondition, Error, JsrBounds, MatrixSet, Result};
 
 /// Options for [`bruteforce_bounds`].
 #[derive(Debug, Clone)]
@@ -14,7 +14,8 @@ pub struct BruteforceOptions {
     pub max_depth: usize,
     /// Hard cap on the total number of products formed. Default: 2_000_000.
     pub max_products: usize,
-    /// Apply joint diagonal preconditioning first. Default: `true`.
+    /// Deflate repeated coordinates ([`crate::deflate`]) and apply joint
+    /// diagonal preconditioning first. Default: `true`.
     pub precondition: bool,
     /// Screen exact Schur evaluations with the O(n²) certified bounds.
     /// Bitwise-neutral: every skipped evaluation is proven unable to move
@@ -95,7 +96,7 @@ pub fn bruteforce_bounds_with_stats(
     }
     let work_set;
     let set = if opts.precondition {
-        work_set = precondition(set)?.0;
+        work_set = precondition(&*deflate(set)?)?.0;
         &work_set
     } else {
         set

@@ -8,7 +8,7 @@ use overrun_par::{max_threads, try_parallel_map, SharedMaxF64};
 
 use crate::screen::{scale_pow, scaled_cheap_bounds, ScreenCounters, ScreenStats};
 use crate::set::normalize_log_ref;
-use crate::{precondition, Error, JsrBounds, MatrixSet, Result};
+use crate::{deflate, precondition, Error, JsrBounds, MatrixSet, Result};
 
 /// Options for [`gripenberg`].
 #[derive(Debug, Clone)]
@@ -20,7 +20,8 @@ pub struct GripenbergOptions {
     pub max_depth: usize,
     /// Hard cap on the number of matrix products formed. Default: 500_000.
     pub max_products: usize,
-    /// Apply joint diagonal preconditioning first. Default: `true`.
+    /// Deflate repeated coordinates ([`crate::deflate`]) and apply joint
+    /// diagonal preconditioning first. Default: `true`.
     pub precondition: bool,
     /// Optimise an ellipsoidal norm and run the search in its coordinates
     /// (dramatically tighter upper bounds for non-normal sets; costs one
@@ -145,7 +146,9 @@ pub fn gripenberg_with_stats(
     let pre_set;
     let mut set = if opts.precondition {
         let _sp = overrun_trace::span!("jsr.precondition");
-        pre_set = precondition(set)?.0;
+        let deflated = deflate(set)?;
+        overrun_trace::counter!("jsr.deflated", (set.dim() - deflated.dim()) as u64);
+        pre_set = precondition(&deflated)?.0;
         &pre_set
     } else {
         set

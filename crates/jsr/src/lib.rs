@@ -16,7 +16,8 @@
 //!
 //! All bounds are invariant under a common similarity transform; a cheap
 //! diagonal [`precondition`] based on joint balancing is applied internally
-//! to tighten norm-based upper bounds.
+//! to tighten norm-based upper bounds, after [`deflate`] has removed every
+//! coordinate that all members repeat (which leaves the JSR unchanged).
 //!
 //! # Example
 //!
@@ -43,6 +44,7 @@
 
 mod bruteforce;
 mod constrained;
+mod deflate;
 pub mod ellipsoid;
 mod error;
 mod gripenberg;
@@ -53,6 +55,7 @@ mod set;
 
 pub use bruteforce::{bruteforce_bounds, bruteforce_bounds_with_stats, BruteforceOptions};
 pub use constrained::{constrained_bounds, ConstrainedOptions, TransitionPredicate};
+pub use deflate::deflate;
 pub use ellipsoid::{optimize_ellipsoid, Ellipsoid, EllipsoidOptions};
 pub use error::Error;
 pub use gripenberg::{gripenberg, gripenberg_with_stats, GripenbergOptions};
@@ -65,7 +68,7 @@ pub use set::MatrixSet;
 /// for a given input are a function of it. Result caches key on it, so it
 /// must change whenever a bound can move (a new optimiser, tolerance or
 /// search rule), or a cache would keep serving the old bounds.
-pub const CERTIFIER_REVISION: &str = "ellipsoid-lmi-centres-2";
+pub const CERTIFIER_REVISION: &str = "deflated-ellipsoid-lmi-centres-2";
 
 /// Convenience alias for `Result<T, overrun_jsr::Error>`.
 pub type Result<T> = std::result::Result<T, Error>;

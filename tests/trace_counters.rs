@@ -8,6 +8,7 @@ use std::sync::Mutex;
 
 use overrun_control::metrics::{evaluate_worst_case, WorstCaseOptions};
 use overrun_control::prelude::*;
+use overrun_control::scenarios::pmsm_table2_weights;
 use overrun_control::sim::{ClosedLoopSim, SimScenario};
 use overrun_control::stability;
 use overrun_linalg::Matrix;
@@ -139,6 +140,49 @@ fn ellipsoid_newton_steps_are_thread_count_invariant() {
     assert!(steps > 0, "{key} must be counted at all");
     assert_eq!(
         Some(&steps),
+        parallel_trace.counter_totals().get(key),
+        "{key} differs across thread counts"
+    );
+}
+
+/// Deflation removes the delayed LQR's repeated controller state at every
+/// lift level of a Table II certification, and the removed coordinates
+/// total the same at any worker-thread count.
+#[test]
+fn deflated_coordinates_are_thread_count_invariant() {
+    let _guard = serialize();
+    let plant = plants::pmsm();
+    let t = 50e-6;
+    let hset = IntervalSet::from_timing(t, 1.6 * t, 2).unwrap();
+    let weights = pmsm_table2_weights();
+    let tables = [
+        lqr::design_adaptive(&plant, &hset, &weights).unwrap(),
+        lqr::design_fixed(&plant, &hset, &weights, t).unwrap(),
+    ];
+
+    let mut runs = Vec::new();
+    for threads in [1usize, 4] {
+        set_thread_override(Some(threads));
+        runs.push(traced(|| {
+            tables
+                .iter()
+                .map(|table| stability::certify(&plant, table, &Default::default()).unwrap())
+                .collect::<Vec<_>>()
+        }));
+    }
+    set_thread_override(None);
+
+    let (serial_reports, serial_trace) = &runs[0];
+    let (parallel_reports, parallel_trace) = &runs[1];
+    for (a, b) in serial_reports.iter().zip(parallel_reports) {
+        assert_eq!(a.bounds.upper.to_bits(), b.bounds.upper.to_bits());
+        assert_eq!(a.bounds.lower.to_bits(), b.bounds.lower.to_bits());
+    }
+    let key = "jsr.deflated";
+    let removed = serial_trace.counter_totals().get(key).copied().unwrap_or(0);
+    assert!(removed > 0, "{key} must be counted on Table II sets");
+    assert_eq!(
+        Some(&removed),
         parallel_trace.counter_totals().get(key),
         "{key} differs across thread counts"
     );
