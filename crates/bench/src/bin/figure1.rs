@@ -74,7 +74,10 @@ fn main() {
     }
     match args.write_artifact("figure1.csv", &trace_to_csv(&trace)) {
         Ok(path) => args.human(&format!("wrote {}", path.display())),
-        Err(e) => eprintln!("could not write CSV: {e}"),
+        Err(e) => {
+            eprintln!("could not write CSV: {e}");
+            std::process::exit(1);
+        }
     }
     let elapsed = started.elapsed();
     let overruns = trace.jobs.iter().filter(|j| j.overran).count();
@@ -83,5 +86,8 @@ fn main() {
         ("overruns", overruns as f64),
     ]);
     km.extend(args.finish_trace("figure1"));
-    args.maybe_write_json("figure1", threads, elapsed, &km);
+    if let Err(e) = args.maybe_write_json("figure1", threads, elapsed, &km) {
+        eprintln!("could not write JSON record: {e}");
+        std::process::exit(1);
+    }
 }

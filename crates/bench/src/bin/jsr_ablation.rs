@@ -121,5 +121,8 @@ fn main() {
         ("screen_hit_rate", total.hit_rate()),
     ]);
     km.extend(args.finish_trace("jsr_ablation"));
-    args.maybe_write_json("jsr_ablation", threads, elapsed, &km);
+    if let Err(e) = args.maybe_write_json("jsr_ablation", threads, elapsed, &km) {
+        eprintln!("could not write JSON record: {e}");
+        std::process::exit(1);
+    }
 }

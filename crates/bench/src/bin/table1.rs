@@ -60,7 +60,10 @@ fn main() {
     }
     match args.write_artifact("table1.csv", &csv) {
         Ok(path) => args.human(&format!("wrote {}", path.display())),
-        Err(e) => eprintln!("could not write CSV: {e}"),
+        Err(e) => {
+            eprintln!("could not write CSV: {e}");
+            std::process::exit(1);
+        }
     }
 
     let worst = rows
@@ -69,5 +72,8 @@ fn main() {
         .fold(f64::NEG_INFINITY, f64::max);
     let mut km = metrics(&[("rows", rows.len() as f64), ("max_jw_adaptive", worst)]);
     km.extend(args.finish_trace("table1"));
-    args.maybe_write_json("table1", threads, elapsed, &km);
+    if let Err(e) = args.maybe_write_json("table1", threads, elapsed, &km) {
+        eprintln!("could not write JSON record: {e}");
+        std::process::exit(1);
+    }
 }

@@ -20,10 +20,8 @@
 
 use overrun_bench::{metrics, run_header, RunArgs};
 use overrun_control::plants;
-use overrun_control::scenarios::{format_table2, pmsm_table2_weights, table2_with, CertifyFn};
-use overrun_control::stability;
+use overrun_control::scenarios::{format_table2, pmsm_table2_weights, table2};
 use overrun_linalg::Matrix;
-use overrun_sweep::MemoCertifier;
 
 fn main() {
     let args = match RunArgs::parse(std::env::args().skip(1)) {
@@ -45,21 +43,7 @@ fn main() {
         args.sequences, args.jobs, args.seed, threads
     ));
     let started = std::time::Instant::now();
-    // With `--cache`, every certification goes through the memoising
-    // certifier; its answers are bit-identical, so the CSV is too.
-    let memo = match args.cache.as_deref().map(MemoCertifier::open).transpose() {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("sweep failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let certify_fn: CertifyFn = match &memo {
-        Some(m) => &|p, tb, o| Ok(m.certify(p, tb, o)?),
-        None => &stability::certify,
-    };
-    let rows = table2_with(&plant, t, &weights, &x0, &cfg, certify_fn);
-    let rows = match rows {
+    let rows = match table2(&plant, t, &weights, &x0, &cfg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("experiment failed: {e}");
@@ -98,7 +82,10 @@ fn main() {
     }
     match args.write_artifact("table2.csv", &csv) {
         Ok(path) => args.human(&format!("wrote {}", path.display())),
-        Err(e) => eprintln!("could not write CSV: {e}"),
+        Err(e) => {
+            eprintln!("could not write CSV: {e}");
+            std::process::exit(1);
+        }
     }
 
     let mut screen = overrun_jsr::ScreenStats::default();
@@ -116,9 +103,9 @@ fn main() {
         ("schur_skipped", screen.schur_skipped() as f64),
         ("screen_hit_rate", screen.hit_rate()),
     ]);
-    if let Some(m) = &memo {
-        km.extend(args.report_sweep(m.stats()));
-    }
     km.extend(args.finish_trace("table2"));
-    args.maybe_write_json("table2", threads, elapsed, &km);
+    if let Err(e) = args.maybe_write_json("table2", threads, elapsed, &km) {
+        eprintln!("could not write JSON record: {e}");
+        std::process::exit(1);
+    }
 }

@@ -19,9 +19,8 @@
 
 use overrun_bench::{metrics, run_header, RunArgs};
 use overrun_control::plants;
-use overrun_control::scenarios::{format_granularity, granularity_sweep_with, CertifyFn};
+use overrun_control::scenarios::{format_granularity, granularity_sweep_with};
 use overrun_control::stability;
-use overrun_sweep::MemoCertifier;
 
 fn main() {
     let args = match RunArgs::parse(std::env::args().skip(1)) {
@@ -41,19 +40,14 @@ fn main() {
         args.sequences, args.jobs, threads
     ));
     let started = std::time::Instant::now();
-    // `--cache`: memoise every Ns point's certification.
-    let memo = match args.cache.as_deref().map(MemoCertifier::open).transpose() {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("sweep failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let certify_fn: CertifyFn = match &memo {
-        Some(m) => &|p, tb, o| Ok(m.certify(p, tb, o)?),
-        None => &stability::certify,
-    };
-    let rows = granularity_sweep_with(&plant, t, rmax_factor, &ns_values, &cfg, certify_fn);
+    let rows = granularity_sweep_with(
+        &plant,
+        t,
+        rmax_factor,
+        &ns_values,
+        &cfg,
+        &stability::certify,
+    );
     let rows = match rows {
         Ok(r) => r,
         Err(e) => {
@@ -75,7 +69,10 @@ fn main() {
     }
     match args.write_artifact("ts_tradeoff.csv", &csv) {
         Ok(path) => args.human(&format!("wrote {}", path.display())),
-        Err(e) => eprintln!("could not write CSV: {e}"),
+        Err(e) => {
+            eprintln!("could not write CSV: {e}");
+            std::process::exit(1);
+        }
     }
 
     let max_ub = rows
@@ -83,9 +80,9 @@ fn main() {
         .map(|r| r.jsr.upper)
         .fold(f64::NEG_INFINITY, f64::max);
     let mut km = metrics(&[("rows", rows.len() as f64), ("max_jsr_ub", max_ub)]);
-    if let Some(m) = &memo {
-        km.extend(args.report_sweep(m.stats()));
-    }
     km.extend(args.finish_trace("ts_tradeoff"));
-    args.maybe_write_json("ts_tradeoff", threads, elapsed, &km);
+    if let Err(e) = args.maybe_write_json("ts_tradeoff", threads, elapsed, &km) {
+        eprintln!("could not write JSON record: {e}");
+        std::process::exit(1);
+    }
 }

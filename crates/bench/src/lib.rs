@@ -33,11 +33,7 @@ use std::path::PathBuf;
 ///   the record to stdout and routes human-readable output to stderr),
 /// * `--trace[=PATH]` — collect a structured trace of the run: JSONL
 ///   events go to `PATH` (default `<out_dir>/<bin>.trace.jsonl`) and a
-///   span-tree summary to stderr; without it no trace sink is installed,
-/// * `--cache DIR` — memoize JSR certifications in a content-addressed
-///   on-disk cache (`overrun-sweep`): each certification is stored as soon
-///   as it completes, so a rerun with the same inputs — also after a kill —
-///   replays them as cache hits and produces byte-identical results.
+///   span-tree summary to stderr; without it no trace sink is installed.
 #[derive(Debug, Clone)]
 pub struct RunArgs {
     /// Random sequences per configuration.
@@ -55,8 +51,6 @@ pub struct RunArgs {
     /// Trace request: `None` = off, `Some(None)` = `--trace` (default
     /// path), `Some(Some(p))` = `--trace=p`.
     pub trace: Option<Option<PathBuf>>,
-    /// Certification-cache directory (`--cache`); `None` = direct path.
-    pub cache: Option<PathBuf>,
 }
 
 impl Default for RunArgs {
@@ -69,7 +63,6 @@ impl Default for RunArgs {
             out_dir: PathBuf::from("bench_results"),
             json: None,
             trace: None,
-            cache: None,
         }
     }
 }
@@ -114,12 +107,6 @@ impl RunArgs {
                 }
                 "--trace" => {
                     out.trace = Some(None);
-                }
-                "--cache" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| "--cache requires a directory".to_string())?;
-                    out.cache = Some(PathBuf::from(v));
                 }
                 other if other.starts_with("--trace=") => {
                     let v = &other["--trace=".len()..];
@@ -217,51 +204,42 @@ impl RunArgs {
         overrun_par::max_threads()
     }
 
-    /// Prints the `sweep cache: H hits / M misses …` line of a finished run
-    /// and returns its counters as `--json` key metrics.
-    pub fn report_sweep(&self, stats: overrun_sweep::SweepStats) -> Vec<(String, f64)> {
-        self.human(&format!(
-            "sweep cache: {} hits / {} misses ({} corrupt replaced, {} retried, {} errors)",
-            stats.cache_hits, stats.cache_misses, stats.corrupt_records, stats.retried, stats.errors
-        ));
-        metrics(&[
-            ("sweep_cache_hits", stats.cache_hits as f64),
-            ("sweep_cache_misses", stats.cache_misses as f64),
-            ("sweep_corrupt_records", stats.corrupt_records as f64),
-            ("sweep_retried", stats.retried as f64),
-            ("sweep_errors", stats.errors as f64),
-        ])
-    }
-
     /// Writes `contents` to `<out_dir>/<name>`, creating the directory.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures.
+    /// Propagates I/O failures, prefixed with the artifact's path.
     pub fn write_artifact(&self, name: &str, contents: &str) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(&self.out_dir)?;
         let path = self.out_dir.join(name);
-        std::fs::write(&path, contents)?;
+        std::fs::create_dir_all(&self.out_dir)
+            .and_then(|()| std::fs::write(&path, contents))
+            .map_err(|e| with_path(e, &path))?;
         Ok(path)
     }
 
     /// Appends one machine-readable summary record to the `--json` /
     /// `BENCH_JSON` file, if one was requested (`-` prints the record to
-    /// stdout instead). I/O failures are reported on stderr, never fatal —
-    /// the human-readable output already happened.
+    /// stdout instead).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the failure to write the requested record.
     pub fn maybe_write_json(
         &self,
         bin: &str,
         threads: usize,
         elapsed: std::time::Duration,
         key_metrics: &[(String, f64)],
-    ) {
-        let Some(path) = &self.json else { return };
+    ) -> std::io::Result<()> {
+        let Some(path) = &self.json else {
+            return Ok(());
+        };
         let record = json_record(bin, threads, elapsed, key_metrics);
         if self.json_on_stdout() {
             println!("{record}");
-        } else if let Err(e) = append_line(path, &record) {
-            eprintln!("warning: could not write {}: {e}", path.display());
+            Ok(())
+        } else {
+            append_line(path, &record).map_err(|e| with_path(e, path))
         }
     }
 }
@@ -299,6 +277,11 @@ pub fn json_record(
         "{{\"bin\": \"{bin}\", \"threads\": {threads}, \"elapsed_ms\": {:.3}, \"key_metrics\": {{{metrics}}}}}",
         elapsed.as_secs_f64() * 1e3
     )
+}
+
+/// Prefixes an I/O error with the path it concerns.
+fn with_path(e: std::io::Error, path: &std::path::Path) -> std::io::Error {
+    std::io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
 fn append_line(path: &std::path::Path, line: &str) -> std::io::Result<()> {
@@ -398,15 +381,14 @@ mod tests {
     }
 
     #[test]
-    fn parse_cache_and_resume() -> Result<(), String> {
-        let a = RunArgs::parse(["--cache".to_string(), "/tmp/sweep-cache".to_string()])?;
-        assert_eq!(a.cache, Some(PathBuf::from("/tmp/sweep-cache")));
-        assert_eq!(RunArgs::default().cache, None);
-        assert!(RunArgs::parse(["--cache".to_string()]).is_err());
-        // A rerun with --cache replays a killed run; there is no --resume.
-        let resume = ["--cache", "/tmp/sweep-cache", "--resume"].map(String::from);
-        assert!(RunArgs::parse(resume).is_err_and(|e| e.contains("--resume")));
-        Ok(())
+    fn removed_flags_are_rejected() {
+        // Certifications are not persisted across runs, so neither the
+        // certification-cache flag nor a resume flag exists.
+        let cache_flag = concat!("--", "cache");
+        for args in [vec![cache_flag, "/tmp/certs"], vec!["--resume"]] {
+            let err = RunArgs::parse(args.iter().map(|s| s.to_string())).unwrap_err();
+            assert_eq!(err, format!("unknown argument `{}`", args[0]));
+        }
     }
 
     #[test]
@@ -449,11 +431,20 @@ mod tests {
             ..RunArgs::default()
         };
         let t = std::time::Duration::from_millis(10);
-        args.maybe_write_json("a", 1, t, &metrics(&[("x", 1.0)]));
-        args.maybe_write_json("b", 2, t, &metrics(&[("y", 2.0)]));
+        args.maybe_write_json("a", 1, t, &metrics(&[("x", 1.0)]))
+            .unwrap();
+        args.maybe_write_json("b", 2, t, &metrics(&[("y", 2.0)]))
+            .unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         assert_eq!(body.lines().count(), 2);
         assert!(body.lines().nth(1).unwrap().contains("\"bin\": \"b\""));
+        // A record that cannot be written is an error, not a warning:
+        // `out.json` is a regular file, so it cannot hold `x.json`.
+        let unwritable = RunArgs {
+            json: Some(path.join("x.json")),
+            ..RunArgs::default()
+        };
+        assert!(unwritable.maybe_write_json("c", 1, t, &[]).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

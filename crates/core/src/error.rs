@@ -19,10 +19,6 @@ pub enum Error {
         /// Job index at which divergence was detected.
         at_job: usize,
     },
-    /// An injected certifier (see [`crate::scenarios::CertifyFn`]) failed
-    /// outside the JSR machinery: its result cache could not be read or
-    /// written, or the certification faulted on every attempt.
-    Certifier(String),
 }
 
 impl fmt::Display for Error {
@@ -36,7 +32,6 @@ impl fmt::Display for Error {
             Error::Diverged { at_job } => {
                 write!(f, "closed-loop trajectory diverged at job {at_job}")
             }
-            Error::Certifier(msg) => write!(f, "certifier failed: {msg}"),
         }
     }
 }

@@ -13,12 +13,9 @@ use crate::sim::{ClosedLoopSim, SimScenario};
 use crate::stability::{certify, CertifyOptions, StabilityReport};
 use crate::{pi, ContinuousSs, ControllerTable, IntervalSet, Result};
 
-/// The certification hook of the `*_with` experiment drivers: same
-/// signature as [`crate::stability::certify`]. The bench binaries inject a
-/// memoising certifier here (`overrun-sweep`); the plain drivers pass the
-/// real certifier. Implementations must be *observationally identical* to
-/// `certify` for the tables the driver requests — the CSV outputs are
-/// pinned byte-identical across both paths.
+/// The certification hook of [`granularity_sweep_with`]: same signature as
+/// [`crate::stability::certify`]. The `ts_tradeoff` binary passes
+/// `certify` itself; a test may pass a cheaper budget or a substitute.
 pub type CertifyFn<'a> =
     &'a dyn Fn(&ContinuousSs, &ControllerTable, &CertifyOptions) -> Result<StabilityReport>;
 
@@ -181,22 +178,6 @@ pub fn table2(
     x0: &Matrix,
     cfg: &ExperimentConfig,
 ) -> Result<Vec<Table2Row>> {
-    table2_with(plant, t, weights, x0, cfg, &|p, tb, o| certify(p, tb, o))
-}
-
-/// [`table2`] with an injected certifier (see [`CertifyFn`]).
-///
-/// # Errors
-///
-/// Propagates design, certification and simulation failures.
-pub fn table2_with(
-    plant: &ContinuousSs,
-    t: f64,
-    weights: &LqrWeights,
-    x0: &Matrix,
-    cfg: &ExperimentConfig,
-    certify_fn: CertifyFn<'_>,
-) -> Result<Vec<Table2Row>> {
     let mut rows = Vec::new();
     let n = plant.state_dim();
     let scenario = SimScenario::regulation(x0.clone(), n);
@@ -207,7 +188,7 @@ pub fn table2_with(
             let adaptive = crate::lqr::design_adaptive(plant, &hset, weights)?;
             let fixed_t = crate::lqr::design_fixed(plant, &hset, weights, t)?;
             let fixed_rmax = crate::lqr::design_fixed(plant, &hset, weights, rmax)?;
-            let certify_table = |table| certify_fn(plant, table, &CertifyOptions::default());
+            let certify_table = |table| certify(plant, table, &CertifyOptions::default());
 
             let report = certify_table(&adaptive)?;
 
@@ -408,14 +389,7 @@ mod tests {
             jobs_per_sequence: 50,
             seed: 1,
         };
-        // Each of the cell's three controller tables is certified once.
-        let calls = std::cell::Cell::new(0);
-        let rows = table2_with(&plant, 50e-6, &weights, &x0, &cfg, &|p, tb, o| {
-            calls.set(calls.get() + 1);
-            certify(p, tb, o)
-        })
-        .unwrap();
-        assert_eq!(calls.get(), 3);
+        let rows = table2(&plant, 50e-6, &weights, &x0, &cfg).unwrap();
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         // The adaptive design must be certified stable.

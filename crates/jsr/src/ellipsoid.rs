@@ -56,8 +56,7 @@
 //! The layout changes no sum: every one keeps its operands, its order and
 //! its starting `0.0`, and nothing is fused or reassociated. So `P`, `γ`,
 //! `L`, `L⁻¹` and the bound are bit-identical to the plain loops, and
-//! verdicts, golden tables and sweep records (keyed by
-//! [`crate::CERTIFIER_REVISION`]) do not depend on it.
+//! verdicts and golden tables do not depend on it.
 //!
 //! The solver's `γ` is never trusted: the bound of the best iterate is
 //! recomputed as the exact `max_i ‖L Aᵢ L⁻¹‖₂` from `P = LᵀL`, and the

@@ -64,12 +64,6 @@ pub use refine::{refined_bounds, refined_bounds_with_stats, RefineOptions};
 pub use screen::ScreenStats;
 pub use set::MatrixSet;
 
-/// Revision of the certification numerics: the bounds this crate returns
-/// for a given input are a function of it. Result caches key on it, so it
-/// must change whenever a bound can move (a new optimiser, tolerance or
-/// search rule), or a cache would keep serving the old bounds.
-pub const CERTIFIER_REVISION: &str = "deflated-ellipsoid-lmi-centres-2";
-
 /// Convenience alias for `Result<T, overrun_jsr::Error>`.
 pub type Result<T> = std::result::Result<T, Error>;
 

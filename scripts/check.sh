@@ -36,41 +36,6 @@ for bin in table1 table2 ts_tradeoff jsr_ablation figure1; do
     "bench_results/$bin.trace.jsonl"
 done
 
-echo "==> memoising certifier: record round-trip, fault isolation, kill/rerun oracle"
-cargo test --release -q -p overrun-sweep
-
-echo "==> sweep CLI cache round-trip (ts_tradeoff, reduced): warm run is 100% hits, CSV data identical"
-rm -rf bench_results/sweep_cache
-cargo run --release -q -p overrun-bench --bin ts_tradeoff -- \
-  --sequences 20 --jobs 10 --out bench_results --cache bench_results/sweep_cache >/dev/null
-cp bench_results/ts_tradeoff.csv bench_results/ts_tradeoff.cold.csv
-cargo run --release -q -p overrun-bench --bin ts_tradeoff -- \
-  --sequences 20 --jobs 10 --out bench_results --cache bench_results/sweep_cache \
-  > bench_results/ts_tradeoff.warm.out
-grep -q "sweep cache: 5 hits / 0 misses" bench_results/ts_tradeoff.warm.out
-diff <(grep -v '^#' bench_results/ts_tradeoff.cold.csv) \
-     <(grep -v '^#' bench_results/ts_tradeoff.csv)
-rm -f bench_results/ts_tradeoff.cold.csv bench_results/ts_tradeoff.warm.out
-
-echo "==> sweep CLI cache (table2, reduced): warm run all hits, half the records deleted re-certifies half, CSV data identical"
-rm -rf bench_results/table2_cache
-table2_cached() {
-  cargo run --release -q -p overrun-bench --bin table2 -- \
-    --sequences 20 --jobs 10 --out bench_results --cache bench_results/table2_cache
-}
-table2_cached >/dev/null
-cp bench_results/table2.csv bench_results/table2.cold.csv
-table2_cached > bench_results/table2.warm.out
-grep -q "sweep cache: 18 hits / 0 misses" bench_results/table2.warm.out
-cp bench_results/table2.csv bench_results/table2.warm.csv
-find bench_results/table2_cache -name '*.record' | sort | head -n 9 | xargs rm
-table2_cached > bench_results/table2.rerun.out
-grep -q "sweep cache: 9 hits / 9 misses" bench_results/table2.rerun.out
-diff <(grep -v '^#' bench_results/table2.cold.csv) <(grep -v '^#' bench_results/table2.warm.csv)
-diff <(grep -v '^#' bench_results/table2.cold.csv) <(grep -v '^#' bench_results/table2.csv)
-rm -rf bench_results/table2_cache bench_results/table2.cold.csv bench_results/table2.warm.csv \
-  bench_results/table2.warm.out bench_results/table2.rerun.out
-
 echo "==> golden CSV data sections (refresh with UPDATE_GOLDEN=1 after intentional changes)"
 cargo test --release -q -p overrun-bench --test golden_csv
 

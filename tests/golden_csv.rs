@@ -18,14 +18,15 @@
     reason = "`UPDATE_GOLDEN` opts in to rewriting the snapshots"
 )]
 
+use std::cell::RefCell;
 use std::path::PathBuf;
 
 use overrun_control::plants;
 use overrun_control::scenarios::{
-    granularity_sweep_with, pmsm_table2_weights, table1, table2, CertifyFn, ExperimentConfig,
+    granularity_sweep_with, pmsm_table2_weights, table1, table2, ExperimentConfig,
 };
-use overrun_control::stability::StabilityReport;
-use overrun_jsr::{JsrBounds, ScreenStats, StabilityVerdict};
+use overrun_control::stability::{self, CertifyOptions};
+use overrun_jsr::StabilityVerdict;
 use overrun_linalg::Matrix;
 use overrun_rtsim::{trace_to_csv, OverrunPolicy, Span};
 
@@ -127,30 +128,40 @@ fn table2_csv_matches_golden() {
 
 /// `ts_tradeoff --quick`'s Monte Carlo columns `(ns, h_count,
 /// jw_adaptive)`, pinned: PI at `T = 10 ms`, `Rmax = 1.6 T`, up to
-/// `#H = 7` intervals. The certification is stubbed out, so this pins the
-/// mode draws and the simulation alone.
+/// `#H = 7` intervals. Every adaptive design is also certified `Stable`,
+/// at a reduced search depth that still decides all five sets; the bounds
+/// themselves are not pinned.
 #[test]
 fn ts_tradeoff_csv_matches_golden() {
     let plant = plants::unstable_second_order();
-    let uncertified: CertifyFn = &|_, _, _| {
-        Ok(StabilityReport {
-            bounds: JsrBounds {
-                lower: 0.0,
-                upper: f64::INFINITY,
-            },
-            verdict: StabilityVerdict::Unknown,
-            screen: ScreenStats::default(),
-        })
-    };
+    let verdicts = RefCell::new(Vec::new());
     let rows = granularity_sweep_with(
         &plant,
         0.010,
         1.6,
         &[1, 2, 4, 5, 10],
         &quick_config(),
-        uncertified,
+        &|p, t, _| {
+            let opts = CertifyOptions {
+                max_depth: 2,
+                ..Default::default()
+            };
+            let report = stability::certify(p, t, &opts)?;
+            verdicts.borrow_mut().push(report.verdict);
+            Ok(report)
+        },
     )
     .expect("granularity sweep");
+    let verdicts = verdicts.into_inner();
+    assert_eq!(verdicts.len(), rows.len());
+    for (r, verdict) in rows.iter().zip(verdicts) {
+        assert!(
+            verdict == StabilityVerdict::Stable && r.jsr.upper < 1.0,
+            "Ns={}: {verdict:?} {:?}",
+            r.ns,
+            r.jsr
+        );
+    }
     let mut csv = String::from("ns,h_count,jw_adaptive\n");
     for r in &rows {
         csv.push_str(&format!("{},{},{}\n", r.ns, r.h_count, r.jw_adaptive));
