@@ -150,7 +150,10 @@ mod tests {
         assert!(!traj.diverged);
         let rel = (exact - traj.cost).abs() / exact;
         assert!(rel < 1e-3, "closed form {exact} vs simulated {}", traj.cost);
-        assert!(exact >= traj.cost - 1e-9, "closed form must dominate any finite prefix");
+        assert!(
+            exact >= traj.cost - 1e-9,
+            "closed form must dominate any finite prefix"
+        );
     }
 
     #[test]
@@ -191,8 +194,7 @@ mod tests {
         let plant = plants::unstable_second_order();
         let hset = IntervalSet::from_timing(0.010, 0.010, 2).unwrap();
         let table = pi::design_adaptive(&plant, &hset).unwrap();
-        let cost =
-            constant_mode_cost(&plant, table.mode(0), 0.010, &Matrix::zeros(2, 1)).unwrap();
+        let cost = constant_mode_cost(&plant, table.mode(0), 0.010, &Matrix::zeros(2, 1)).unwrap();
         assert!(cost.abs() < 1e-12);
     }
 

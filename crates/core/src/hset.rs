@@ -47,10 +47,14 @@ impl IntervalSet {
     /// inexact sensor grid, and propagates [`overrun_rtsim`] errors.
     pub fn from_timing(t: f64, rmax: f64, ns: u32) -> Result<Self> {
         if !(t.is_finite() && t > 0.0) {
-            return Err(Error::InvalidConfig(format!("period must be positive, got {t}")));
+            return Err(Error::InvalidConfig(format!(
+                "period must be positive, got {t}"
+            )));
         }
         if !(rmax.is_finite() && rmax > 0.0) {
-            return Err(Error::InvalidConfig(format!("Rmax must be positive, got {rmax}")));
+            return Err(Error::InvalidConfig(format!(
+                "Rmax must be positive, got {rmax}"
+            )));
         }
         let policy = OverrunPolicy::new(Span::from_secs_f64(t), ns)?;
         Self::from_policy(&policy, Span::from_secs_f64(rmax))
@@ -117,9 +121,7 @@ impl IntervalSet {
     /// sensor period), or `None` when `h` is off-grid.
     pub fn index_of(&self, h: f64) -> Option<usize> {
         let tol = self.sensor_period * 0.5;
-        self.intervals
-            .iter()
-            .position(|&v| (v - h).abs() < tol)
+        self.intervals.iter().position(|&v| (v - h).abs() < tol)
     }
 
     /// Maps a response time (seconds) to the index of the induced interval
@@ -157,9 +159,7 @@ impl IntervalSet {
     /// The deployment check of paper Sec. V-B: every interval this set can
     /// produce must be covered by the designed set `other`.
     pub fn is_subset_of(&self, other: &IntervalSet) -> bool {
-        self.intervals
-            .iter()
-            .all(|&h| other.index_of(h).is_some())
+        self.intervals.iter().all(|&h| other.index_of(h).is_some())
     }
 }
 

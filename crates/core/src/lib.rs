@@ -72,7 +72,7 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {
     pub use crate::{
-        analysis, lifted, lqg, lqr, metrics, pi, plants, scenarios, sim, stability,
-        ContinuousSs, ControllerMode, ControllerTable, DiscreteSs, IntervalSet,
+        analysis, lifted, lqg, lqr, metrics, pi, plants, scenarios, sim, stability, ContinuousSs,
+        ControllerMode, ControllerTable, DiscreteSs, IntervalSet,
     };
 }

@@ -234,10 +234,7 @@ mod tests {
         let hset = IntervalSet::from_timing(0.010, 0.013, 2).unwrap();
         let table = design_adaptive(&plant, &hset, &weights(), &noise()).unwrap();
         let sim = ClosedLoopSim::new(&plant, &table).unwrap();
-        let scenario = SimScenario::regulation(
-            overrun_linalg::Matrix::col_vec(&[1.0, 0.0]),
-            1,
-        );
+        let scenario = SimScenario::regulation(overrun_linalg::Matrix::col_vec(&[1.0, 0.0]), 1);
         let traj = sim.run(&scenario, &vec![0; 400]).unwrap();
         assert!(!traj.diverged);
         let first = traj.errors[0].max_abs();

@@ -100,9 +100,8 @@ pub fn mode_for_interval(
         .map_err(Error::Linalg)?;
 
     let _sp = overrun_trace::span!("lqr.mode", h_us = h * 1e6);
-    let (k_gain, sol) = dlqr_solution(&a_aug, &b_aug, &q_aug, &weights.r).map_err(|e| {
-        Error::Design(format!("delayed LQR Riccati failed at h = {h}: {e}"))
-    })?;
+    let (k_gain, sol) = dlqr_solution(&a_aug, &b_aug, &q_aug, &weights.r)
+        .map_err(|e| Error::Design(format!("delayed LQR Riccati failed at h = {h}: {e}")))?;
     overrun_trace::counter!("lqr.riccati_iters", sol.iterations as u64);
     overrun_trace::histogram!("lqr.riccati_residual", sol.residual);
     let kx = k_gain.submatrix(0, 0, r, n).map_err(Error::Linalg)?;
@@ -183,8 +182,7 @@ mod tests {
         let plant = plants::pmsm();
         let h = 50e-6;
         let mode = mode_for_interval(&plant, h, &weights3()).unwrap();
-        let omega =
-            lifted::build_omega(&plant, &mode, h, &Matrix::identity(3)).unwrap();
+        let omega = lifted::build_omega(&plant, &mode, h, &Matrix::identity(3)).unwrap();
         let rho = spectral_radius(&omega).unwrap();
         assert!(rho < 1.0, "ρ = {rho}");
     }
@@ -239,8 +237,7 @@ mod tests {
         let plant = plants::unstable_second_order();
         let w = LqrWeights::identity(2, 1, 1.0);
         let mode = mode_for_interval(&plant, 0.010, &w).unwrap();
-        let omega =
-            lifted::build_omega(&plant, &mode, 0.010, &Matrix::identity(2)).unwrap();
+        let omega = lifted::build_omega(&plant, &mode, 0.010, &Matrix::identity(2)).unwrap();
         assert!(spectral_radius(&omega).unwrap() < 1.0);
     }
 

@@ -929,7 +929,17 @@ mod sampler_tests {
     #[test]
     fn first_above_finds_the_edge_from_any_guess() {
         for edge in [0, 1, 2, 1000, K_END - 1, K_END] {
-            for guess in [i64::MIN, -5, 0, 1, 999, 1000, 1001, (K_END - 1) as i64, i64::MAX] {
+            for guess in [
+                i64::MIN,
+                -5,
+                0,
+                1,
+                999,
+                1000,
+                1001,
+                (K_END - 1) as i64,
+                i64::MAX,
+            ] {
                 assert_eq!(first_above(guess, |k| k >= edge), edge, "guess {guess}");
             }
         }
@@ -941,9 +951,15 @@ mod sampler_tests {
         let mut rng = SmallRng::seed_from_u64(1);
         for bad in [1.5, -0.1, f64::NAN, f64::INFINITY] {
             let res = random_mode_sequence(&hset, 10, &mut rng, bad);
-            assert!(matches!(res, Err(Error::InvalidConfig(_))), "{bad}: {res:?}");
+            assert!(
+                matches!(res, Err(Error::InvalidConfig(_))),
+                "{bad}: {res:?}"
+            );
             let res = fill_mode_sequence(&hset, &mut rng, bad, &mut [0; 10]);
-            assert!(matches!(res, Err(Error::InvalidConfig(_))), "{bad}: {res:?}");
+            assert!(
+                matches!(res, Err(Error::InvalidConfig(_))),
+                "{bad}: {res:?}"
+            );
         }
         for ok in [0.0, 1.0] {
             assert!(random_mode_sequence(&hset, 10, &mut rng, ok).is_ok());

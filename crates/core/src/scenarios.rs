@@ -217,8 +217,7 @@ pub fn table2(
 
             // Ideal baseline: period Rmax, gain for Rmax, no overruns.
             let hset_rmax = IntervalSet::from_timing(rmax, rmax, ns)?;
-            let table_rmax =
-                crate::lqr::design_adaptive(plant, &hset_rmax, weights)?;
+            let table_rmax = crate::lqr::design_adaptive(plant, &hset_rmax, weights)?;
             let base_sim = ClosedLoopSim::new(plant, &table_rmax)?;
             let fixed_period_cost = base_sim
                 .run(&scenario, &vec![0; cfg.jobs_per_sequence])?
@@ -298,8 +297,10 @@ pub fn granularity_sweep_with(
 /// Formats granularity-sweep rows as an aligned text table.
 pub fn format_granularity(rows: &[GranularityRow]) -> String {
     let mut s = String::new();
-    s.push_str("Ns    #H   JSR [LB, UB]           Jw(adaptive)   idle slack
-");
+    s.push_str(
+        "Ns    #H   JSR [LB, UB]           Jw(adaptive)   idle slack
+",
+    );
     for r in rows {
         s.push_str(&format!(
             "{:<4} {:>3}   [{:.6}, {:.6}]   {:>10.4}   {:>8.2e} s

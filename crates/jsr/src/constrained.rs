@@ -168,8 +168,7 @@ pub fn constrained_bounds(
                 if allowed(i, w.first) {
                     let rho_p = spectral_radius(&p)?;
                     if rho_p > 0.0 {
-                        lower =
-                            lower.max(((rho_p.ln() + w.log_scale) * inv_depth).exp());
+                        lower = lower.max(((rho_p.ln() + w.log_scale) * inv_depth).exp());
                     }
                 }
                 let (product, extra) = normalize_log(p, nrm_p);
@@ -301,8 +300,7 @@ mod tests {
         let nominal = Matrix::diag(&[0.5, 0.4]);
         let overrun = Matrix::diag(&[1.2, 1.1]);
         let set = MatrixSet::new(vec![nominal, overrun]).unwrap();
-        let no_repeat =
-            constrained_bounds(&set, &no_repeat_overrun, &Default::default()).unwrap();
+        let no_repeat = constrained_bounds(&set, &no_repeat_overrun, &Default::default()).unwrap();
         assert!(no_repeat.certifies_stable());
     }
 }

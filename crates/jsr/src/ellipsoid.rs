@@ -620,7 +620,10 @@ impl Centres {
         if !kkt_solve(hess, grad, basis, y, dir) {
             return None;
         }
-        let decrement_sq = grad.iter().zip(dir.iter()).fold(0.0, |sq, (g, d)| sq - g * d);
+        let decrement_sq = grad
+            .iter()
+            .zip(dir.iter())
+            .fold(0.0, |sq, (g, d)| sq - g * d);
         if !decrement_sq.is_finite() {
             return None;
         }
@@ -1028,7 +1031,9 @@ mod tests {
         let mut inv = vec![0.0; 9];
         assert!(spd_inverse(&factor, &mut inv, 3));
         let inv = Matrix::from_vec(3, 3, inv)?;
-        assert!(m.matmul(&inv)?.approx_eq(&Matrix::identity(3), 1e-12, 1e-12));
+        assert!(m
+            .matmul(&inv)?
+            .approx_eq(&Matrix::identity(3), 1e-12, 1e-12));
         assert_eq!(inv, inv.transpose());
         Ok(())
     }

@@ -336,10 +336,7 @@ pub fn gripenberg_with_stats(
     };
     let upper = search_upper.min(ellipsoid_bound.max(lb));
     overrun_trace::progress!("jsr.ub", upper);
-    Ok((
-        JsrBounds { lower: lb, upper },
-        counters.snapshot(lb_depth),
-    ))
+    Ok((JsrBounds { lower: lb, upper }, counters.snapshot(lb_depth)))
 }
 
 /// Expands one frontier node against every matrix of the set, improving the
@@ -489,11 +486,8 @@ mod tests {
 
     #[test]
     fn commuting_diagonals() {
-        let set = MatrixSet::new(vec![
-            Matrix::diag(&[0.9, 0.3]),
-            Matrix::diag(&[0.5, 0.8]),
-        ])
-        .unwrap();
+        let set =
+            MatrixSet::new(vec![Matrix::diag(&[0.9, 0.3]), Matrix::diag(&[0.5, 0.8])]).unwrap();
         let b = gripenberg(&set, &GripenbergOptions::default()).unwrap();
         assert!((b.lower - 0.9).abs() < 1e-9);
         assert!(b.upper <= 0.9 + 1e-4 + 1e-9);
@@ -522,11 +516,8 @@ mod tests {
 
     #[test]
     fn unstable_set_certifies_unstable() {
-        let set = MatrixSet::new(vec![
-            Matrix::diag(&[1.2, 0.1]),
-            Matrix::diag(&[0.1, 0.2]),
-        ])
-        .unwrap();
+        let set =
+            MatrixSet::new(vec![Matrix::diag(&[1.2, 0.1]), Matrix::diag(&[0.1, 0.2])]).unwrap();
         let b = gripenberg(&set, &GripenbergOptions::default()).unwrap();
         assert!(b.certifies_unstable(), "bounds {b}");
     }

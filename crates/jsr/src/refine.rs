@@ -10,9 +10,7 @@
 use overrun_linalg::Matrix;
 
 use crate::screen::ScreenStats;
-use crate::{
-    gripenberg_with_stats, Error, GripenbergOptions, JsrBounds, MatrixSet, Result,
-};
+use crate::{gripenberg_with_stats, Error, GripenbergOptions, JsrBounds, MatrixSet, Result};
 
 /// Options for [`refined_bounds`].
 #[derive(Debug, Clone)]
@@ -180,10 +178,7 @@ mod tests {
 
     #[test]
     fn detects_unstable_pair() -> TestResult {
-        let set = MatrixSet::new(vec![
-            Matrix::diag(&[1.05, 0.2]),
-            Matrix::diag(&[0.3, 0.9]),
-        ])?;
+        let set = MatrixSet::new(vec![Matrix::diag(&[1.05, 0.2]), Matrix::diag(&[0.3, 0.9])])?;
         let b = refined_bounds(&set, &RefineOptions::default())?;
         assert!(b.certifies_unstable(), "bounds {b}");
         Ok(())

@@ -267,7 +267,10 @@ mod tests {
             } else {
                 0.0
             };
-            assert_eq!(scale_pow(x, log_scale, inv_depth).to_bits(), expected.to_bits());
+            assert_eq!(
+                scale_pow(x, log_scale, inv_depth).to_bits(),
+                expected.to_bits()
+            );
         }
     }
 

@@ -56,7 +56,9 @@ impl MatrixSet {
                 )));
             }
             if !m.is_finite() {
-                return Err(Error::InvalidSet(format!("matrix {i} has non-finite entries")));
+                return Err(Error::InvalidSet(format!(
+                    "matrix {i} has non-finite entries"
+                )));
             }
         }
         let norms = matrices.iter().map(norm_2).collect();
@@ -121,9 +123,7 @@ impl MatrixSet {
         let scaled = self
             .matrices
             .iter()
-            .map(|m| {
-                Matrix::from_fn(self.dim, self.dim, |i, j| m[(i, j)] * diag[j] / diag[i])
-            })
+            .map(|m| Matrix::from_fn(self.dim, self.dim, |i, j| m[(i, j)] * diag[j] / diag[i]))
             .collect();
         MatrixSet::new(scaled)
     }

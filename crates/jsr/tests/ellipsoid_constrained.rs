@@ -27,7 +27,11 @@ fn ellipsoid_known_answer_diagonal() {
     let a = Matrix::diag(&[0.5, 0.25]);
     let set = MatrixSet::new(vec![a]).unwrap();
     let e = optimize_ellipsoid(&set, &EllipsoidOptions::default()).unwrap();
-    assert!((e.norm_bound - 0.5).abs() < 1e-6, "bound = {}", e.norm_bound);
+    assert!(
+        (e.norm_bound - 0.5).abs() < 1e-6,
+        "bound = {}",
+        e.norm_bound
+    );
 }
 
 /// A scaled rotation has `ρ = 0.9 = ‖A‖₂`; no ellipsoid can do better, and
@@ -38,7 +42,11 @@ fn ellipsoid_known_answer_scaled_rotation() {
     let a = Matrix::from_rows(&[&[0.9 * c, 0.9 * s], &[-0.9 * s, 0.9 * c]]).unwrap();
     let set = MatrixSet::new(vec![a]).unwrap();
     let e = optimize_ellipsoid(&set, &EllipsoidOptions::default()).unwrap();
-    assert!((e.norm_bound - 0.9).abs() < 1e-6, "bound = {}", e.norm_bound);
+    assert!(
+        (e.norm_bound - 0.9).abs() < 1e-6,
+        "bound = {}",
+        e.norm_bound
+    );
 }
 
 /// Forced alternation (`prev != next`) between a contractive and an
@@ -54,7 +62,10 @@ fn constrained_known_answer_forced_alternation() {
     assert!(b.certifies_stable(), "bounds {b}");
     assert!(b.lower <= expected + 1e-9, "{b:?} vs {expected}");
     assert!(expected <= b.upper + 1e-9, "{b:?} vs {expected}");
-    assert!(b.upper - b.lower < 0.05, "alternation bounds are tight: {b:?}");
+    assert!(
+        b.upper - b.lower < 0.05,
+        "alternation bounds are tight: {b:?}"
+    );
 }
 
 /// A "no two consecutive overruns" weakly-hard contract on an overrun mode
@@ -87,8 +98,7 @@ fn matrix(n: usize, mag: f64) -> impl Strategy<Value = Matrix> {
 }
 
 fn vector(n: usize) -> impl Strategy<Value = Matrix> {
-    prop::collection::vec(-2.0..2.0f64, n)
-        .prop_map(|v| Matrix::col_vec(&v))
+    prop::collection::vec(-2.0..2.0f64, n).prop_map(|v| Matrix::col_vec(&v))
 }
 
 /// `‖x‖_P = ‖L x‖₂` for the optimised ellipsoid.

@@ -243,10 +243,7 @@ mod tests {
     #[test]
     fn rejects_indefinite() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
-        assert!(matches!(
-            Cholesky::new(&a),
-            Err(Error::NotPositiveDefinite)
-        ));
+        assert!(matches!(Cholesky::new(&a), Err(Error::NotPositiveDefinite)));
     }
 
     #[test]

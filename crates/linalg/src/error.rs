@@ -44,7 +44,11 @@ impl fmt::Display for Error {
                 lhs.0, lhs.1, rhs.0, rhs.1
             ),
             Error::NotSquare { op, dims } => {
-                write!(f, "{op} requires a square matrix, got {}x{}", dims.0, dims.1)
+                write!(
+                    f,
+                    "{op} requires a square matrix, got {}x{}",
+                    dims.0, dims.1
+                )
             }
             Error::Singular => write!(f, "matrix is singular to working precision"),
             Error::NotPositiveDefinite => {
@@ -53,7 +57,10 @@ impl fmt::Display for Error {
             Error::NoConvergence {
                 algorithm,
                 iterations,
-            } => write!(f, "{algorithm} did not converge after {iterations} iterations"),
+            } => write!(
+                f,
+                "{algorithm} did not converge after {iterations} iterations"
+            ),
             Error::InvalidData(msg) => write!(f, "invalid data: {msg}"),
         }
     }

@@ -201,8 +201,8 @@ mod tests {
 
     #[test]
     fn expm_inverse_property() {
-        let a = Matrix::from_rows(&[&[0.3, 1.2, -0.5], &[0.1, -0.7, 0.4], &[-0.2, 0.0, 0.9]])
-            .unwrap();
+        let a =
+            Matrix::from_rows(&[&[0.3, 1.2, -0.5], &[0.1, -0.7, 0.4], &[-0.2, 0.0, 0.9]]).unwrap();
         let e = expm(&a).unwrap();
         let em = expm(&a.scale(-1.0)).unwrap();
         assert!((&e * &em).approx_eq(&Matrix::identity(3), 1e-12, 1e-12));

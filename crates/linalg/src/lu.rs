@@ -248,17 +248,16 @@ mod tests {
         let lu = Lu::new(&a).unwrap();
         assert!(lu.is_singular());
         assert_eq!(lu.det(), 0.0);
-        assert!(matches!(lu.solve(&Matrix::identity(2)), Err(Error::Singular)));
+        assert!(matches!(
+            lu.solve(&Matrix::identity(2)),
+            Err(Error::Singular)
+        ));
     }
 
     #[test]
     fn inverse_roundtrip() {
-        let a = Matrix::from_rows(&[
-            &[4.0, -2.0, 1.0],
-            &[3.0, 6.0, -4.0],
-            &[2.0, 1.0, 8.0],
-        ])
-        .unwrap();
+        let a =
+            Matrix::from_rows(&[&[4.0, -2.0, 1.0], &[3.0, 6.0, -4.0], &[2.0, 1.0, 8.0]]).unwrap();
         let inv = a.inverse().unwrap();
         let eye = &a * &inv;
         assert!(eye.approx_eq(&Matrix::identity(3), 1e-12, 1e-12));
@@ -284,10 +283,7 @@ mod tests {
     fn rhs_shape_mismatch() {
         let a = Matrix::identity(2);
         let b = Matrix::zeros(3, 1);
-        assert!(matches!(
-            a.solve(&b),
-            Err(Error::DimensionMismatch { .. })
-        ));
+        assert!(matches!(a.solve(&b), Err(Error::DimensionMismatch { .. })));
     }
 
     #[test]

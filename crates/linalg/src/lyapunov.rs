@@ -126,8 +126,8 @@ mod tests {
 
     #[test]
     fn smith_matches_direct() {
-        let a = Matrix::from_rows(&[&[0.5, 0.2, 0.0], &[-0.1, 0.4, 0.3], &[0.0, -0.2, 0.6]])
-            .unwrap();
+        let a =
+            Matrix::from_rows(&[&[0.5, 0.2, 0.0], &[-0.1, 0.4, 0.3], &[0.0, -0.2, 0.6]]).unwrap();
         let q = Matrix::identity(3);
         let x1 = solve_discrete_lyapunov(&a, &q).unwrap();
         let x2 = solve_discrete_lyapunov_direct(&a, &q).unwrap();
@@ -139,7 +139,10 @@ mod tests {
     // This test drives a deliberate overflow to assert the graceful
     // NoConvergence error; under `sanitize` that overflow is (correctly)
     // a poison panic at the producing op, so the test does not apply.
-    #[cfg_attr(feature = "sanitize", ignore = "deliberate overflow panics under sanitize")]
+    #[cfg_attr(
+        feature = "sanitize",
+        ignore = "deliberate overflow panics under sanitize"
+    )]
     fn smith_diverges_for_unstable() {
         let a = Matrix::diag(&[1.5, 0.5]);
         assert!(matches!(
@@ -165,7 +168,9 @@ mod tests {
         let x = solve_discrete_lyapunov(&a, &q).unwrap();
         assert!(crate::cholesky::is_spd(&x));
         // Lyapunov solution dominates Q for a stable A: X ≥ Q
-        assert!(crate::cholesky::is_spd(&(&x - &q + Matrix::identity(2) * 1e-12)));
+        assert!(crate::cholesky::is_spd(
+            &(&x - &q + Matrix::identity(2) * 1e-12)
+        ));
     }
 
     #[test]

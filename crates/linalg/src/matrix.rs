@@ -216,7 +216,9 @@ impl Matrix {
     /// Panics if `j >= self.cols()`.
     pub fn col(&self, j: usize) -> Vec<f64> {
         assert!(j < self.cols, "column index {j} out of bounds");
-        (0..self.rows).map(|i| self.data[i * self.cols + j]).collect()
+        (0..self.rows)
+            .map(|i| self.data[i * self.cols + j])
+            .collect()
     }
 
     /// Returns the transpose.
@@ -678,7 +680,10 @@ impl Index<(usize, usize)> for Matrix {
 
     #[inline]
     fn index(&self, (i, j): (usize, usize)) -> &f64 {
-        assert!(i < self.rows && j < self.cols, "index ({i},{j}) out of bounds");
+        assert!(
+            i < self.rows && j < self.cols,
+            "index ({i},{j}) out of bounds"
+        );
         &self.data[i * self.cols + j]
     }
 }
@@ -686,7 +691,10 @@ impl Index<(usize, usize)> for Matrix {
 impl IndexMut<(usize, usize)> for Matrix {
     #[inline]
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
-        assert!(i < self.rows && j < self.cols, "index ({i},{j}) out of bounds");
+        assert!(
+            i < self.rows && j < self.cols,
+            "index ({i},{j}) out of bounds"
+        );
         &mut self.data[i * self.cols + j]
     }
 }
@@ -890,7 +898,9 @@ mod tests {
 
     #[test]
     fn matmul_into_matches_matmul_bitwise() {
-        let a = Matrix::from_fn(4, 3, |i, j| ((i * 7 + j * 13) % 5) as f64 - 2.0 + 0.1 * i as f64);
+        let a = Matrix::from_fn(4, 3, |i, j| {
+            ((i * 7 + j * 13) % 5) as f64 - 2.0 + 0.1 * i as f64
+        });
         let b = Matrix::from_fn(3, 5, |i, j| 1.0 / (1.0 + (i + 2 * j) as f64));
         let expected = a.matmul(&b).unwrap();
         let mut out = Matrix::zeros(4, 5);
@@ -952,7 +962,13 @@ mod tests {
 
     #[test]
     fn mul_vec_into_matches_matmul_column() {
-        let a = Matrix::from_fn(3, 4, |i, j| if (i + j) % 3 == 0 { 0.0 } else { (i + j) as f64 });
+        let a = Matrix::from_fn(3, 4, |i, j| {
+            if (i + j) % 3 == 0 {
+                0.0
+            } else {
+                (i + j) as f64
+            }
+        });
         let x = [1.5, -2.0, 0.25, 3.0];
         let expected = a.matmul(&Matrix::col_vec(&x)).unwrap();
         let mut out = [f64::NAN; 3];
@@ -996,7 +1012,10 @@ mod tests {
     fn block_ops() {
         let a = Matrix::from_fn(4, 4, |i, j| (i * 4 + j) as f64);
         let sub = a.submatrix(1, 2, 2, 2).unwrap();
-        assert_eq!(sub, Matrix::from_rows(&[&[6.0, 7.0], &[10.0, 11.0]]).unwrap());
+        assert_eq!(
+            sub,
+            Matrix::from_rows(&[&[6.0, 7.0], &[10.0, 11.0]]).unwrap()
+        );
         let mut z = Matrix::zeros(4, 4);
         z.set_block(2, 2, &sub).unwrap();
         assert_eq!(z[(2, 2)], 6.0);

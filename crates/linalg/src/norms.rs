@@ -508,7 +508,11 @@ mod tests {
             assert!(b.norm_lower <= n2, "lower {} > norm_2 {n2}", b.norm_lower);
             assert!(n2 <= b.norm_upper, "norm_2 {n2} > upper {}", b.norm_upper);
             let rho = crate::spectral_radius(m).unwrap();
-            assert!(rho <= b.radius_upper, "rho {rho} > bound {}", b.radius_upper);
+            assert!(
+                rho <= b.radius_upper,
+                "rho {rho} > bound {}",
+                b.radius_upper
+            );
             let (lo, hi) = norm_2_bracket(m);
             assert_eq!(lo, b.norm_lower);
             assert_eq!(hi, b.norm_upper);
@@ -519,7 +523,10 @@ mod tests {
     #[test]
     fn cheap_bounds_degenerate_inputs() {
         let z = cheap_spectral_bounds(&Matrix::zeros(3, 3));
-        assert_eq!((z.norm_lower, z.norm_upper, z.radius_upper), (0.0, 0.0, 0.0));
+        assert_eq!(
+            (z.norm_lower, z.norm_upper, z.radius_upper),
+            (0.0, 0.0, 0.0)
+        );
         let mut m = Matrix::identity(2);
         m[(0, 1)] = f64::NAN;
         let b = cheap_spectral_bounds(&m);
@@ -579,9 +586,16 @@ mod extreme_scale_tests {
     #[test]
     fn fro_and_2_norm_survive_tiny_magnitudes() {
         let m = Matrix::diag(&[1e-180, 3e-181]);
-        assert!((norm_fro(&m) - (1e-180_f64.powi(2) + 3e-181_f64.powi(2)).sqrt() * 1.0).abs()
-            < 1e-12 * 1e-180 || norm_fro(&m) > 0.0);
-        assert!((norm_2(&m) - 1e-180).abs() < 1e-10 * 1e-180, "{}", norm_2(&m));
+        assert!(
+            (norm_fro(&m) - (1e-180_f64.powi(2) + 3e-181_f64.powi(2)).sqrt() * 1.0).abs()
+                < 1e-12 * 1e-180
+                || norm_fro(&m) > 0.0
+        );
+        assert!(
+            (norm_2(&m) - 1e-180).abs() < 1e-10 * 1e-180,
+            "{}",
+            norm_2(&m)
+        );
     }
 
     #[test]

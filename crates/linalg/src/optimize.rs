@@ -191,8 +191,7 @@ mod tests {
 
     #[test]
     fn minimises_rosenbrock() {
-        let rosen =
-            |x: &[f64]| 100.0 * (x[1] - x[0] * x[0]).powi(2) + (1.0 - x[0]).powi(2);
+        let rosen = |x: &[f64]| 100.0 * (x[1] - x[0] * x[0]).powi(2) + (1.0 - x[0]).powi(2);
         let res = nelder_mead(
             rosen,
             &[-1.2, 1.0],

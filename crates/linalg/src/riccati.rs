@@ -203,12 +203,7 @@ pub fn dlqr_solution(
 /// # Errors
 ///
 /// Propagates [`solve_dare`] errors from the dual Riccati equation.
-pub fn dkalman(
-    a: &Matrix,
-    c: &Matrix,
-    w: &Matrix,
-    v: &Matrix,
-) -> Result<(Matrix, Matrix, Matrix)> {
+pub fn dkalman(a: &Matrix, c: &Matrix, w: &Matrix, v: &Matrix) -> Result<(Matrix, Matrix, Matrix)> {
     let (l, m, sol) = dkalman_solution(a, c, w, v)?;
     Ok((l, m, sol.x))
 }
@@ -297,11 +292,7 @@ mod tests {
 
     #[test]
     fn dare_residual_small_on_mimo() -> TestResult {
-        let a = Matrix::from_rows(&[
-            &[0.9, 0.2, 0.0],
-            &[0.0, 1.1, 0.1],
-            &[0.1, 0.0, 0.8],
-        ])?;
+        let a = Matrix::from_rows(&[&[0.9, 0.2, 0.0], &[0.0, 1.1, 0.1], &[0.1, 0.0, 0.8]])?;
         let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[0.5, 0.5]])?;
         let q = Matrix::diag(&[1.0, 2.0, 0.5]);
         let r = Matrix::diag(&[1.0, 0.5]);
@@ -360,7 +351,10 @@ mod tests {
     // This test drives a deliberate overflow to assert the graceful
     // NoConvergence error; under `sanitize` that overflow is (correctly)
     // a poison panic at the producing op, so the test does not apply.
-    #[cfg_attr(feature = "sanitize", ignore = "deliberate overflow panics under sanitize")]
+    #[cfg_attr(
+        feature = "sanitize",
+        ignore = "deliberate overflow panics under sanitize"
+    )]
     fn dare_unstabilizable_fails() {
         // Unstable mode not reachable from B: no stabilising solution.
         let a = Matrix::diag(&[2.0, 0.5]);

@@ -75,7 +75,11 @@ pub fn hessenberg(a: &Matrix) -> Result<Matrix> {
         if norm_x == 0.0 {
             continue;
         }
-        let alpha = if h[(k + 1, k)] >= 0.0 { -norm_x } else { norm_x };
+        let alpha = if h[(k + 1, k)] >= 0.0 {
+            -norm_x
+        } else {
+            norm_x
+        };
         let mut v_norm_sq = 0.0_f64;
         for i in (k + 1)..n {
             v[i] = h[(i, k)];
@@ -428,8 +432,7 @@ mod tests {
 
     #[test]
     fn eig_of_triangular() -> TestResult {
-        let t =
-            Matrix::from_rows(&[&[2.0, 5.0, 7.0], &[0.0, -3.0, 1.0], &[0.0, 0.0, 0.25]])?;
+        let t = Matrix::from_rows(&[&[2.0, 5.0, 7.0], &[0.0, -3.0, 1.0], &[0.0, 0.0, 0.25]])?;
         assert_spectrum_contains(&t, &[(2.0, 0.0), (-3.0, 0.0), (0.25, 0.0)], 1e-10)
     }
 
@@ -467,7 +470,10 @@ mod tests {
         let eigs = eigenvalues(&a)?;
         let sum_re: f64 = eigs.iter().map(|e| e.re).sum();
         let sum_im: f64 = eigs.iter().map(|e| e.im).sum();
-        assert!((sum_re - a.trace()).abs() < 1e-8, "trace mismatch: {sum_re}");
+        assert!(
+            (sum_re - a.trace()).abs() < 1e-8,
+            "trace mismatch: {sum_re}"
+        );
         assert!(sum_im.abs() < 1e-8);
         // product of moduli equals |det|
         let prod: f64 = eigs.iter().map(|e| e.modulus()).product();
@@ -565,7 +571,9 @@ mod tests {
     fn eig_large_random_like_matrix_trace_check() -> TestResult {
         let n = 12;
         // deterministic pseudo-random entries in [-1, 1]
-        let a = Matrix::from_fn(n, n, |i, j| ((i * 31 + j * 17 + 7) % 101) as f64 / 50.0 - 1.0);
+        let a = Matrix::from_fn(n, n, |i, j| {
+            ((i * 31 + j * 17 + 7) % 101) as f64 / 50.0 - 1.0
+        });
         let eigs = eigenvalues(&a)?;
         assert_eq!(eigs.len(), n);
         let sum_re: f64 = eigs.iter().map(|e| e.re).sum();

@@ -229,7 +229,12 @@ mod tests {
         }
         check!(1, 2, 3, 4, 5, 6, 7, 8);
         let mut big = test_data(9, 3);
-        assert!(!matmul_acc_dispatch(9, &test_data(9, 1), &test_data(9, 2), &mut big));
+        assert!(!matmul_acc_dispatch(
+            9,
+            &test_data(9, 1),
+            &test_data(9, 2),
+            &mut big
+        ));
     }
 
     #[test]

@@ -14,9 +14,7 @@ fn square_matrix(n: usize, mag: f64) -> impl Strategy<Value = Matrix> {
 
 /// Strategy: a symmetric positive definite matrix built as `M Mᵀ + εI`.
 fn spd_matrix(n: usize) -> impl Strategy<Value = Matrix> {
-    square_matrix(n, 2.0).prop_map(move |m| {
-        &m * &m.transpose() + Matrix::identity(n) * 0.5
-    })
+    square_matrix(n, 2.0).prop_map(move |m| &m * &m.transpose() + Matrix::identity(n) * 0.5)
 }
 
 /// Strategy: a Schur-stable matrix (scaled so that ρ < 0.95).
@@ -190,18 +188,20 @@ mod screening_and_kernel_properties {
     /// square matrix of that size.
     fn sized_sparse(mag: f64) -> impl Strategy<Value = (usize, Vec<f64>)> {
         let full = small::MAX_DIM * small::MAX_DIM;
-        (1usize..=small::MAX_DIM, prop::collection::vec(-mag..mag, full))
+        (
+            1usize..=small::MAX_DIM,
+            prop::collection::vec(-mag..mag, full),
+        )
             .prop_map(move |(n, v)| (n, inflate(&v, n, mag)))
     }
 
     /// Two same-size zero-inflated buffers.
     fn sized_sparse_pair(mag: f64) -> impl Strategy<Value = (usize, Vec<f64>, Vec<f64>)> {
         let full = small::MAX_DIM * small::MAX_DIM;
-        (sized_sparse(mag), prop::collection::vec(-mag..mag, full))
-            .prop_map(move |((n, a), v)| {
-                let b = inflate(&v, n, mag);
-                (n, a, b)
-            })
+        (sized_sparse(mag), prop::collection::vec(-mag..mag, full)).prop_map(move |((n, a), v)| {
+            let b = inflate(&v, n, mag);
+            (n, a, b)
+        })
     }
 
     /// Embeds an `n × n` matrix as the top-left block of a zero matrix one

@@ -53,7 +53,9 @@ impl ExecutionModel {
         match self {
             ExecutionModel::Constant(c) => {
                 if c.is_zero() {
-                    return Err(Error::InvalidConfig("constant execution time is zero".into()));
+                    return Err(Error::InvalidConfig(
+                        "constant execution time is zero".into(),
+                    ));
                 }
             }
             ExecutionModel::Uniform { min, max } => {

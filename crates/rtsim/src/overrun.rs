@@ -46,7 +46,9 @@ impl OverrunPolicy {
             return Err(Error::InvalidConfig("control period is zero".into()));
         }
         if ns == 0 {
-            return Err(Error::InvalidConfig("oversampling factor Ns is zero".into()));
+            return Err(Error::InvalidConfig(
+                "oversampling factor Ns is zero".into(),
+            ));
         }
         let sensor_period = match period.checked_div_exact(Span::from_nanos(ns as u64)) {
             Some(q) => Span::from_nanos(q),
@@ -254,7 +256,10 @@ impl ReleaseTrace {
                 )));
             }
             let excess = job.interval - self.period;
-            if !excess.as_nanos().is_multiple_of(self.sensor_period.as_nanos()) {
+            if !excess
+                .as_nanos()
+                .is_multiple_of(self.sensor_period.as_nanos())
+            {
                 return Err(Error::Invariant(format!(
                     "job {k} interval {} is not on the T + i·Ts grid",
                     job.interval
@@ -302,8 +307,14 @@ mod tests {
     #[test]
     fn nominal_jobs_keep_period() {
         let p = policy_10ms_ns5();
-        assert_eq!(p.next_interval(Span::from_millis(3)).unwrap(), Span::from_millis(10));
-        assert_eq!(p.next_interval(Span::from_millis(10)).unwrap(), Span::from_millis(10));
+        assert_eq!(
+            p.next_interval(Span::from_millis(3)).unwrap(),
+            Span::from_millis(10)
+        );
+        assert_eq!(
+            p.next_interval(Span::from_millis(10)).unwrap(),
+            Span::from_millis(10)
+        );
         assert_eq!(p.delta(Span::from_millis(3)).unwrap(), Span::ZERO);
     }
 
@@ -354,7 +365,10 @@ mod tests {
             p.interval_set(Span::from_millis(5)).unwrap(),
             vec![Span::from_millis(10)]
         );
-        assert_eq!(p.delta_max(Span::from_millis(13)).unwrap(), Span::from_millis(4));
+        assert_eq!(
+            p.delta_max(Span::from_millis(13)).unwrap(),
+            Span::from_millis(4)
+        );
         assert!(p.interval_set(Span::ZERO).is_err());
     }
 
@@ -381,7 +395,10 @@ mod tests {
         for r_us in (1_000..=16_000).step_by(37) {
             let r = Span::from_micros(r_us);
             let interval = p.next_interval(r).unwrap();
-            assert!(h.contains(&interval), "R = {r} gave h = {interval} not in H");
+            assert!(
+                h.contains(&interval),
+                "R = {r} gave h = {interval} not in H"
+            );
         }
     }
 
@@ -390,7 +407,7 @@ mod tests {
         // Reproduce the Figure 1 scenario: job 2 overruns past 2T.
         let p = OverrunPolicy::new(Span::from_millis(8), 8).unwrap(); // Ts = 1 ms
         let responses = [
-            Span::from_millis(6),  // fits
+            Span::from_millis(6),     // fits
             Span::from_micros(9_500), // overruns: next release at ⌈9.5⌉ = 10 ms after a_2
             Span::from_millis(7),
         ];

@@ -62,8 +62,7 @@ pub fn response_time_analysis(tasks: &[Task]) -> Result<Vec<Span>> {
                         crate::ArrivalModel::Jittered { jitter } => jitter,
                         _ => Span::ZERO,
                     };
-                    let interference =
-                        other.execution.wcet() * (r + jitter).div_ceil(other.period);
+                    let interference = other.execution.wcet() * (r + jitter).div_ceil(other.period);
                     next += interference;
                 }
             }

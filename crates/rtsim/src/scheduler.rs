@@ -65,8 +65,7 @@ pub struct ScheduleTrace {
 impl ScheduleTrace {
     /// Response-time sequence of one task, in release order.
     pub fn response_times(&self, task: TaskId) -> Vec<Span> {
-        let mut jobs: Vec<&CompletedJob> =
-            self.jobs.iter().filter(|j| j.task == task).collect();
+        let mut jobs: Vec<&CompletedJob> = self.jobs.iter().filter(|j| j.task == task).collect();
         jobs.sort_by_key(|j| j.release);
         jobs.iter().map(|j| j.response).collect()
     }
@@ -80,8 +79,7 @@ impl ScheduleTrace {
         }
         let min = responses.iter().copied().fold(responses[0], Span::min);
         let max = responses.iter().copied().fold(Span::ZERO, Span::max);
-        let avg =
-            responses.iter().map(|r| r.as_secs_f64()).sum::<f64>() / responses.len() as f64;
+        let avg = responses.iter().map(|r| r.as_secs_f64()).sum::<f64>() / responses.len() as f64;
         let overruns = responses.iter().filter(|r| **r > period).count();
         Some(TaskStats {
             jobs: responses.len(),
@@ -366,8 +364,8 @@ mod tests {
 
     #[test]
     fn single_task_runs_periodically() {
-        let sched = Scheduler::new(vec![Task::new("t", Span::from_millis(10), 0, constant(3))])
-            .unwrap();
+        let sched =
+            Scheduler::new(vec![Task::new("t", Span::from_millis(10), 0, constant(3))]).unwrap();
         let trace = sched
             .run(&SchedulerConfig {
                 horizon: Span::from_millis(100),
@@ -515,9 +513,11 @@ mod tests {
 
     #[test]
     fn run_control_trace_requires_adaptive_task() {
-        let sched = Scheduler::new(vec![Task::new("t", Span::from_millis(10), 0, constant(1))])
-            .unwrap();
-        assert!(sched.run_control_trace(&SchedulerConfig::default()).is_err());
+        let sched =
+            Scheduler::new(vec![Task::new("t", Span::from_millis(10), 0, constant(1))]).unwrap();
+        assert!(sched
+            .run_control_trace(&SchedulerConfig::default())
+            .is_err());
     }
 
     #[test]
@@ -527,8 +527,8 @@ mod tests {
 
     #[test]
     fn unknown_adaptive_id_rejected() {
-        let sched = Scheduler::new(vec![Task::new("t", Span::from_millis(10), 0, constant(1))])
-            .unwrap();
+        let sched =
+            Scheduler::new(vec![Task::new("t", Span::from_millis(10), 0, constant(1))]).unwrap();
         assert!(sched.with_adaptive_task(TaskId(5), 2).is_err());
     }
 
@@ -561,8 +561,9 @@ mod tests {
 
     #[test]
     fn offsets_shift_first_release() {
-        let tasks = vec![Task::new("t", Span::from_millis(10), 0, constant(1))
-            .with_offset(Span::from_millis(4))];
+        let tasks =
+            vec![Task::new("t", Span::from_millis(10), 0, constant(1))
+                .with_offset(Span::from_millis(4))];
         let sched = Scheduler::new(tasks).unwrap();
         let trace = sched
             .run(&SchedulerConfig {

@@ -112,9 +112,7 @@ impl ResponseTimeModel {
         match self {
             ResponseTimeModel::Uniform { max, .. } => *max,
             ResponseTimeModel::Sporadic { max, .. } => *max,
-            ResponseTimeModel::Fixed(seq) => {
-                seq.iter().copied().fold(Span::ZERO, Span::max)
-            }
+            ResponseTimeModel::Fixed(seq) => seq.iter().copied().fold(Span::ZERO, Span::max),
             ResponseTimeModel::Markov { max, .. } => *max,
         }
     }
@@ -165,9 +163,7 @@ impl SequenceGenerator {
     /// Draws the next response time.
     pub fn next_response(&mut self) -> Span {
         match &self.model {
-            ResponseTimeModel::Uniform { min, max } => {
-                uniform(&mut self.rng, *min, *max)
-            }
+            ResponseTimeModel::Uniform { min, max } => uniform(&mut self.rng, *min, *max),
             ResponseTimeModel::Sporadic {
                 min,
                 period,
@@ -177,11 +173,7 @@ impl SequenceGenerator {
                 if self.rng.gen_bool(*overrun_prob) {
                     // (T, Rmax]: offset by one nanosecond to stay strictly
                     // above the period.
-                    uniform(
-                        &mut self.rng,
-                        *period + Span::from_nanos(1),
-                        *max,
-                    )
+                    uniform(&mut self.rng, *period + Span::from_nanos(1), *max)
                 } else {
                     uniform(&mut self.rng, *min, *period)
                 }
@@ -303,8 +295,7 @@ mod tests {
     #[test]
     fn fixed_sequence_cycles() {
         let pattern = vec![Span::from_millis(5), Span::from_millis(11)];
-        let mut g =
-            SequenceGenerator::new(ResponseTimeModel::Fixed(pattern.clone()), 0).unwrap();
+        let mut g = SequenceGenerator::new(ResponseTimeModel::Fixed(pattern.clone()), 0).unwrap();
         let seq = g.sequence(5);
         assert_eq!(seq[0], pattern[0]);
         assert_eq!(seq[1], pattern[1]);
@@ -335,7 +326,9 @@ mod tests {
         .validate()
         .is_err());
         assert!(ResponseTimeModel::Fixed(vec![]).validate().is_err());
-        assert!(ResponseTimeModel::Fixed(vec![Span::ZERO]).validate().is_err());
+        assert!(ResponseTimeModel::Fixed(vec![Span::ZERO])
+            .validate()
+            .is_err());
     }
 
     #[test]
@@ -360,7 +353,9 @@ mod tests {
             min: Span::from_millis(1),
             max: Span::from_millis(20),
         };
-        let a = SequenceGenerator::new(model.clone(), 5).unwrap().sequence(100);
+        let a = SequenceGenerator::new(model.clone(), 5)
+            .unwrap()
+            .sequence(100);
         let b = SequenceGenerator::new(model, 5).unwrap().sequence(100);
         assert_eq!(a, b);
     }
@@ -429,7 +424,9 @@ mod markov_tests {
             "no clustering: conditional {conditional:.3} vs marginal {marginal:.3}"
         );
         // Envelope respected.
-        assert!(seq.iter().all(|r| *r >= Span::from_millis(1) && *r <= Span::from_millis(16)));
+        assert!(seq
+            .iter()
+            .all(|r| *r >= Span::from_millis(1) && *r <= Span::from_millis(16)));
     }
 
     #[test]

@@ -107,8 +107,7 @@ impl Task {
                 if max_slack.is_zero() {
                     self.period
                 } else {
-                    self.period
-                        + Span::from_nanos(rng.gen_range(0..=max_slack.as_nanos()))
+                    self.period + Span::from_nanos(rng.gen_range(0..=max_slack.as_nanos()))
                 }
             }
         }

@@ -269,10 +269,7 @@ mod tests {
         assert_eq!(t.as_nanos(), 10_000_000);
         assert_eq!((t - Span::from_millis(4)).as_nanos(), 6_000_000);
         assert_eq!(t.duration_since(Time::ZERO), Span::from_millis(10));
-        assert_eq!(
-            Time::ZERO.checked_duration_since(t),
-            None
-        );
+        assert_eq!(Time::ZERO.checked_duration_since(t), None);
         assert_eq!(Span::from_millis(3) * 4, Span::from_millis(12));
         assert_eq!(4 * Span::from_millis(3), Span::from_millis(12));
     }

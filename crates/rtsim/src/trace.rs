@@ -98,10 +98,7 @@ pub fn render_timeline(trace: &ReleaseTrace, opts: &TimelineOptions) -> Result<S
         "T = {}, Ts = {} (Ns = {}), {} jobs, {} overruns\n",
         trace.period,
         ts,
-        trace
-            .period
-            .checked_div_exact(ts)
-            .unwrap_or_default(),
+        trace.period.checked_div_exact(ts).unwrap_or_default(),
         jobs.len(),
         jobs.iter().filter(|j| j.overran).count(),
     ));
@@ -233,7 +230,11 @@ pub fn gantt(trace: &ScheduleTrace, tasks: &[Task], cols_ns: u64, max_cols: usiz
         for job in trace.jobs.iter().filter(|j| j.task.index() == i) {
             let start = (job.release.as_nanos() / cols_ns) as usize;
             let stop = (job.finish.as_nanos() / cols_ns) as usize;
-            for c in row.iter_mut().take(stop.min(width - 1) + 1).skip(start.min(width - 1)) {
+            for c in row
+                .iter_mut()
+                .take(stop.min(width - 1) + 1)
+                .skip(start.min(width - 1))
+            {
                 *c = '#';
             }
         }

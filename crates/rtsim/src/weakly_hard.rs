@@ -73,10 +73,7 @@ pub fn max_overruns_in_window(trace: &ReleaseTrace, k: u32) -> u32 {
     if flags.is_empty() {
         return 0;
     }
-    let mut in_window = flags[..k.min(flags.len())]
-        .iter()
-        .filter(|&&o| o)
-        .count();
+    let mut in_window = flags[..k.min(flags.len())].iter().filter(|&&o| o).count();
     let mut worst = in_window;
     for i in k..flags.len() {
         in_window += usize::from(flags[i]);

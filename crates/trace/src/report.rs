@@ -111,10 +111,7 @@ impl Trace {
         let mut totals: BTreeMap<String, Hist> = BTreeMap::new();
         for ev in &self.events {
             if let Event::Hist { name, hist } = ev {
-                totals
-                    .entry(name.to_string())
-                    .or_default()
-                    .merge(hist);
+                totals.entry(name.to_string()).or_default().merge(hist);
             }
         }
         totals
@@ -245,7 +242,11 @@ impl Trace {
             for (name, hist) in &hists {
                 out.push_str(&format!(
                     "  {:<42} n={} min={:.3e} mean={:.3e} max={:.3e}\n",
-                    name, hist.count, hist.min, hist.mean(), hist.max
+                    name,
+                    hist.count,
+                    hist.min,
+                    hist.mean(),
+                    hist.max
                 ));
             }
         }

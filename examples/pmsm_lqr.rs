@@ -32,8 +32,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the fixed-T gain provably does not.
     let rep_adaptive = stability::certify(&plant, &adaptive, &Default::default())?;
     let rep_fixed = stability::certify(&plant, &fixed_t, &Default::default())?;
-    println!("adaptive design: JSR = {} => {}", rep_adaptive.bounds, rep_adaptive.verdict);
-    println!("fixed-T design:  JSR = {} => {}", rep_fixed.bounds, rep_fixed.verdict);
+    println!(
+        "adaptive design: JSR = {} => {}",
+        rep_adaptive.bounds, rep_adaptive.verdict
+    );
+    println!(
+        "fixed-T design:  JSR = {} => {}",
+        rep_fixed.bounds, rep_fixed.verdict
+    );
 
     // Demonstrate the difference on the worst constant pattern: every job
     // overruns to the maximum interval 2T.

@@ -27,10 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hset = IntervalSet::from_timing(0.010, 0.013, 5)?;
     println!(
         "H = {:?} (Ts = {} ms)",
-        hset.intervals()
-            .iter()
-            .map(|h| h * 1e3)
-            .collect::<Vec<_>>(),
+        hset.intervals().iter().map(|h| h * 1e3).collect::<Vec<_>>(),
         hset.sensor_period() * 1e3
     );
 

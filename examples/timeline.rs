@@ -8,8 +8,8 @@
 #![allow(clippy::print_stdout)] // examples exist to print
 
 use overrun_rtsim::{
-    render_timeline, response_time_analysis, utilization, ExecutionModel, OverrunPolicy,
-    Scheduler, SchedulerConfig, Span, Task, TimelineOptions,
+    render_timeline, response_time_analysis, utilization, ExecutionModel, OverrunPolicy, Scheduler,
+    SchedulerConfig, Span, Task, TimelineOptions,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

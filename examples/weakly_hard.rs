@@ -24,15 +24,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fixed_t = lqr::design_fixed(&plant, &hset, &pmsm_table2_weights(), t)?;
 
     let free = stability::certify(&plant, &fixed_t, &Default::default())?;
-    println!("arbitrary switching:        JSR = {} => {}", free.bounds, free.verdict);
+    println!(
+        "arbitrary switching:        JSR = {} => {}",
+        free.bounds, free.verdict
+    );
 
     // Under a weakly-hard (1, 2) contract — no two consecutive overruns —
     // the admissible switching language shrinks and the same design is
     // certified stable.
     let contract = WeaklyHard::new(1, 2);
     let no_consecutive = |prev: usize, next: usize| !(prev > 0 && next > 0);
-    let constrained =
-        stability::certify_constrained(&plant, &fixed_t, &no_consecutive, 14)?;
+    let constrained = stability::certify_constrained(&plant, &fixed_t, &no_consecutive, 14)?;
     println!(
         "under weakly-hard {contract}:    JSR = {} => {}",
         constrained.bounds, constrained.verdict

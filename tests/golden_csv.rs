@@ -103,8 +103,7 @@ fn table1_csv_matches_golden() {
 fn table2_csv_matches_golden() {
     let plant = plants::pmsm();
     let x0 = Matrix::col_vec(&[1.0, 1.0, 1.0]);
-    let rows = table2(&plant, 50e-6, &pmsm_table2_weights(), &x0, &quick_config())
-        .expect("table2");
+    let rows = table2(&plant, 50e-6, &pmsm_table2_weights(), &x0, &quick_config()).expect("table2");
     let mut csv = String::from(
         "rmax_factor,ns,jsr_lb,jsr_ub,cost_no_overruns,cost_adaptive,cost_fixed_t,cost_fixed_rmax,cost_fixed_period_rmax\n",
     );

@@ -27,7 +27,12 @@ fn lqg_output_feedback_end_to_end() {
     assert_eq!(table.state_dim(), 3); // x̂ (2) + u_prev (1)
 
     let report = stability::certify(&plant, &table, &Default::default()).unwrap();
-    assert_eq!(report.verdict, StabilityVerdict::Stable, "{:?}", report.bounds);
+    assert_eq!(
+        report.verdict,
+        StabilityVerdict::Stable,
+        "{:?}",
+        report.bounds
+    );
 
     let sim = ClosedLoopSim::new(&plant, &table).unwrap();
     let scenario = SimScenario::regulation(Matrix::col_vec(&[1.0, 0.0]), 1);
@@ -53,13 +58,9 @@ fn weakly_hard_rescue_of_fixed_gain_design() {
     let free = stability::certify(&plant, &fixed_t, &Default::default()).unwrap();
     assert_eq!(free.verdict, StabilityVerdict::Unstable);
 
-    let constrained = stability::certify_constrained(
-        &plant,
-        &fixed_t,
-        &|prev, next| !(prev > 0 && next > 0),
-        14,
-    )
-    .unwrap();
+    let constrained =
+        stability::certify_constrained(&plant, &fixed_t, &|prev, next| !(prev > 0 && next > 0), 14)
+            .unwrap();
     assert_eq!(
         constrained.verdict,
         StabilityVerdict::Stable,
@@ -102,8 +103,7 @@ fn closed_form_costs_consistent_with_simulation() {
         );
     }
     // Sanity versus the single-mode helper.
-    let single =
-        constant_mode_cost(&plant, table.mode(0), hset.intervals()[0], &x0).unwrap();
+    let single = constant_mode_cost(&plant, table.mode(0), hset.intervals()[0], &x0).unwrap();
     assert!((single - exact[0]).abs() < 1e-9 * single.max(1.0));
 }
 

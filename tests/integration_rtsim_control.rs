@@ -6,8 +6,7 @@ use overrun_control::prelude::*;
 use overrun_control::sim::{ClosedLoopSim, SimScenario};
 use overrun_linalg::Matrix;
 use overrun_rtsim::{
-    response_time_analysis, ExecutionModel, OverrunPolicy, Scheduler, SchedulerConfig, Span,
-    Task,
+    response_time_analysis, ExecutionModel, OverrunPolicy, Scheduler, SchedulerConfig, Span, Task,
 };
 
 /// Build a loaded platform whose control task sporadically overruns.

@@ -28,7 +28,12 @@ fn certificate_agrees_with_simulation_pi() {
     let table = pi::design_adaptive(&plant, &hset).unwrap();
 
     let report = stability::certify(&plant, &table, &CertifyOptions::default()).unwrap();
-    assert_eq!(report.verdict, StabilityVerdict::Stable, "{:?}", report.bounds);
+    assert_eq!(
+        report.verdict,
+        StabilityVerdict::Stable,
+        "{:?}",
+        report.bounds
+    );
 
     // Every random switching pattern must then stay bounded.
     let sim = ClosedLoopSim::new(&plant, &table).unwrap();
@@ -100,8 +105,14 @@ fn eq12_and_certificate_intervals_overlap() {
         .unwrap()
         .bounds;
     let eq12 = stability::eq12_bounds(&plant, &table, 7).unwrap();
-    assert!(cert.lower <= eq12.upper + 1e-9, "cert={cert:?} eq12={eq12:?}");
-    assert!(eq12.lower <= cert.upper + 1e-9, "cert={cert:?} eq12={eq12:?}");
+    assert!(
+        cert.lower <= eq12.upper + 1e-9,
+        "cert={cert:?} eq12={eq12:?}"
+    );
+    assert!(
+        eq12.lower <= cert.upper + 1e-9,
+        "cert={cert:?} eq12={eq12:?}"
+    );
 }
 
 /// Ns = 1 reduces the policy to skip-next; the design and certificate must

@@ -2,9 +2,7 @@
 //! asserting the qualitative shapes the paper reports.
 
 use overrun_control::prelude::*;
-use overrun_control::scenarios::{
-    pmsm_table2_weights, table1, table2, ExperimentConfig,
-};
+use overrun_control::scenarios::{pmsm_table2_weights, table1, table2, ExperimentConfig};
 use overrun_linalg::Matrix;
 
 fn small_config() -> ExperimentConfig {

@@ -79,8 +79,7 @@ fn gripenberg_bounds_match_serial_on_table2_sets() {
         let hset = IntervalSet::from_timing(t, factor * t, ns).unwrap();
         let table = lqr::design_adaptive(&plant, &hset, &pmsm_table2_weights()).unwrap();
         let meas = lifted::measurement_matrix(&plant, &table).unwrap();
-        let set =
-            MatrixSet::new(lifted::build_omega_set(&plant, &table, &meas).unwrap()).unwrap();
+        let set = MatrixSet::new(lifted::build_omega_set(&plant, &table, &meas).unwrap()).unwrap();
         let on = GripenbergOptions {
             max_depth: 8,
             ellipsoid: false,

@@ -12,8 +12,8 @@ use std::sync::Mutex;
 use overrun_control::prelude::*;
 use overrun_control::scenarios::pmsm_table2_weights;
 use overrun_jsr::{
-    bruteforce_bounds_with_stats, refined_bounds_with_stats, BruteforceOptions,
-    GripenbergOptions, MatrixSet, RefineOptions,
+    bruteforce_bounds_with_stats, refined_bounds_with_stats, BruteforceOptions, GripenbergOptions,
+    MatrixSet, RefineOptions,
 };
 use overrun_par::set_thread_override;
 
@@ -96,8 +96,15 @@ fn gripenberg_screening_bitwise_identical_on_table2_sets() {
                 serial_bounds.upper.to_bits(),
                 "UB differs from serial: {ctx}"
             );
-            assert_eq!(s_on.lb_depth, s_off.lb_depth, "lb provenance differs: {ctx}");
-            assert_eq!(s_off.schur_skipped(), 0, "screen=false must not skip: {ctx}");
+            assert_eq!(
+                s_on.lb_depth, s_off.lb_depth,
+                "lb provenance differs: {ctx}"
+            );
+            assert_eq!(
+                s_off.schur_skipped(),
+                0,
+                "screen=false must not skip: {ctx}"
+            );
             assert!(
                 s_on.schur_evals() * 5 < s_off.schur_evals() * 2,
                 "screening saved less than 60% of exact evals: {ctx}, on={s_on} off={s_off}"

@@ -58,7 +58,9 @@ fn mc_counter_totals_are_thread_count_invariant() {
     let mut runs = Vec::new();
     for threads in [1usize, 4] {
         set_thread_override(Some(threads));
-        runs.push(traced(|| evaluate_worst_case(&sim, &scenario, &opts).unwrap()));
+        runs.push(traced(|| {
+            evaluate_worst_case(&sim, &scenario, &opts).unwrap()
+        }));
     }
     set_thread_override(None);
 
@@ -197,9 +199,8 @@ fn certification_trace_round_trips_as_jsonl() {
     let hset = IntervalSet::from_timing(0.010, 0.013, 2).unwrap();
     let table = pi::design_adaptive(&plant, &hset).unwrap();
 
-    let (report, trace) = traced(|| {
-        stability::certify(&plant, &table, &Default::default()).unwrap()
-    });
+    let (report, trace) =
+        traced(|| stability::certify(&plant, &table, &Default::default()).unwrap());
     assert!(report.bounds.certifies_stable(), "{:?}", report.bounds);
 
     assert!(!trace.events.is_empty(), "certification must emit events");
