@@ -85,7 +85,13 @@ fn main() {
         ("jobs", trace.jobs.len() as f64),
         ("overruns", overruns as f64),
     ]);
-    km.extend(args.finish_trace("figure1"));
+    match args.finish_trace("figure1") {
+        Ok(trace) => km.extend(trace),
+        Err(e) => {
+            eprintln!("could not write trace: {e}");
+            std::process::exit(1);
+        }
+    }
     if let Err(e) = args.maybe_write_json("figure1", threads, elapsed, &km) {
         eprintln!("could not write JSON record: {e}");
         std::process::exit(1);

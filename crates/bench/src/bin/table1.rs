@@ -71,7 +71,13 @@ fn main() {
         .map(|r| r.jw_adaptive)
         .fold(f64::NEG_INFINITY, f64::max);
     let mut km = metrics(&[("rows", rows.len() as f64), ("max_jw_adaptive", worst)]);
-    km.extend(args.finish_trace("table1"));
+    match args.finish_trace("table1") {
+        Ok(trace) => km.extend(trace),
+        Err(e) => {
+            eprintln!("could not write trace: {e}");
+            std::process::exit(1);
+        }
+    }
     if let Err(e) = args.maybe_write_json("table1", threads, elapsed, &km) {
         eprintln!("could not write JSON record: {e}");
         std::process::exit(1);

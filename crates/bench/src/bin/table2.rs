@@ -103,7 +103,13 @@ fn main() {
         ("schur_skipped", screen.schur_skipped() as f64),
         ("screen_hit_rate", screen.hit_rate()),
     ]);
-    km.extend(args.finish_trace("table2"));
+    match args.finish_trace("table2") {
+        Ok(trace) => km.extend(trace),
+        Err(e) => {
+            eprintln!("could not write trace: {e}");
+            std::process::exit(1);
+        }
+    }
     if let Err(e) = args.maybe_write_json("table2", threads, elapsed, &km) {
         eprintln!("could not write JSON record: {e}");
         std::process::exit(1);

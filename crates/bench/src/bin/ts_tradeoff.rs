@@ -80,7 +80,13 @@ fn main() {
         .map(|r| r.jsr.upper)
         .fold(f64::NEG_INFINITY, f64::max);
     let mut km = metrics(&[("rows", rows.len() as f64), ("max_jsr_ub", max_ub)]);
-    km.extend(args.finish_trace("ts_tradeoff"));
+    match args.finish_trace("ts_tradeoff") {
+        Ok(trace) => km.extend(trace),
+        Err(e) => {
+            eprintln!("could not write trace: {e}");
+            std::process::exit(1);
+        }
+    }
     if let Err(e) = args.maybe_write_json("ts_tradeoff", threads, elapsed, &km) {
         eprintln!("could not write JSON record: {e}");
         std::process::exit(1);

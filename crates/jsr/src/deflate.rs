@@ -12,8 +12,11 @@
 //! The lifted closed loop of a controller whose state is its own delayed
 //! output (the delayed LQR, `z[k] = u[k]`) holds that state twice, and
 //! certification then works on matrices two or more dimensions too large.
+//! [`repeated_rows`] is the row test behind [`deflate`]; the closed-loop
+//! simulator of the control crate applies it to its own `Ω(h)` as well.
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use overrun_linalg::Matrix;
 
@@ -47,24 +50,37 @@ use crate::{MatrixSet, Result};
 /// # }
 /// ```
 pub fn deflate(set: &MatrixSet) -> Result<Cow<'_, MatrixSet>> {
-    let Some(mut pair) = repeated_row(set.matrices()) else {
+    let first = |m: &[Matrix]| repeated_rows(m, 0..m.first().map_or(0, Matrix::rows)).next();
+    let Some(mut pair) = first(set.matrices()) else {
         return Ok(Cow::Borrowed(set));
     };
     let mut matrices = set.matrices().to_vec();
     loop {
         matrices = matrices.iter().map(|a| merge(a, pair)).collect();
-        match repeated_row(&matrices) {
+        match first(&matrices) {
             Some(next) => pair = next,
             None => return MatrixSet::new(matrices).map(Cow::Owned),
         }
     }
 }
 
-/// The first `(j, k)`, `k < j`, whose rows are equal in every matrix.
-fn repeated_row(matrices: &[Matrix]) -> Option<(usize, usize)> {
-    let n = matrices.first()?.rows();
-    (1..n).find_map(|j| {
-        (0..j)
+/// Every row `j` of `rows` that is equal, in every matrix, to an earlier
+/// row `k` of `rows`: `(j, k)` with the smallest such `k`, in increasing
+/// `j`. Each `k` found is the first of its rows, so it never repeats
+/// another. The matrices need the same number of rows, not of columns; an
+/// empty slice repeats nothing.
+///
+/// # Panics
+///
+/// Panics if `rows` reaches past a matrix's last row.
+pub fn repeated_rows(
+    matrices: &[Matrix],
+    rows: Range<usize>,
+) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let start = rows.start;
+    let rows = if matrices.is_empty() { 0..0 } else { rows };
+    rows.filter_map(move |j| {
+        (start..j)
             .find(|&k| matrices.iter().all(|a| a.row(j) == a.row(k)))
             .map(|k| (j, k))
     })
@@ -170,6 +186,23 @@ mod tests {
             let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(x), bits(y));
         }
+    }
+
+    #[test]
+    fn repeated_rows_stay_in_range_and_point_at_the_first_row() {
+        let set = planted();
+        let all: Vec<_> = repeated_rows(set.matrices(), 0..6).collect();
+        assert_eq!(all, [(3, 1), (4, 2), (5, 2)]);
+        assert_eq!(
+            repeated_rows(set.matrices(), 2..6).collect::<Vec<_>>(),
+            [(4, 2), (5, 2)]
+        );
+        // Row 1 is outside the range, so row 3 has nothing to repeat.
+        assert_eq!(
+            repeated_rows(set.matrices(), 3..6).collect::<Vec<_>>(),
+            [(5, 4)]
+        );
+        assert_eq!(repeated_rows(&[], 0..6).count(), 0);
     }
 
     #[test]

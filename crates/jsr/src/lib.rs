@@ -55,7 +55,7 @@ mod set;
 
 pub use bruteforce::{bruteforce_bounds, bruteforce_bounds_with_stats, BruteforceOptions};
 pub use constrained::{constrained_bounds, ConstrainedOptions, TransitionPredicate};
-pub use deflate::deflate;
+pub use deflate::{deflate, repeated_rows};
 pub use ellipsoid::{optimize_ellipsoid, Ellipsoid, EllipsoidOptions};
 pub use error::Error;
 pub use gripenberg::{gripenberg, gripenberg_with_stats, GripenbergOptions};

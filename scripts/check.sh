@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Full local gate: release build, test suite, and lint-clean clippy (the
+# Full local gate: rustfmt, release build, test suite, and lint-clean clippy (the
 # determinism bans in clippy.toml, the lib-root panic denies and the
 # workspace unsafe-hygiene lint; tests/alloc_free.rs audits the hot paths).
 # Run from anywhere; operates on the repository that contains this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "==> cargo fmt --all -- --check"
+cargo fmt --all -- --check
 
 echo "==> cargo build --release"
 cargo build --release

@@ -138,8 +138,8 @@ fn matrix_kernels_allocate_nothing() {
 }
 
 /// `run_cost` and `run_cost_with_initial_mode` allocate nothing at all:
-/// no buffers up front, nothing per job. Checked on the 9-dimensional
-/// Table-II lift under regulation, and on PI step tracking over 4 and 7
+/// no buffers up front, nothing per job. Checked on the Table-II lift
+/// (9-dimensional, simulated on 7) under regulation, and on PI step tracking over 4 and 7
 /// intervals, whose per-interval reference offsets live on the stack.
 #[test]
 fn run_cost_allocations_do_not_grow_with_jobs() {

@@ -188,8 +188,9 @@ fn pi_tracking_beyond_stack_offsets() {
     assert_eq!(diverged, 0, "the adaptive design stays bounded");
 }
 
-/// The Table-II loop: adaptive and fixed-`T` LQR on the PMSM (`D = 9`),
-/// at the `Rmax = 1.6 T, Ts = T/2` cell whose fixed-`T` design is unstable.
+/// The Table-II loop: adaptive and fixed-`T` LQR on the PMSM (`D = 9`,
+/// simulated on 7 once `ũ` is merged into `z̃`), at the `Rmax = 1.6 T,
+/// Ts = T/2` cell whose fixed-`T` design is unstable.
 #[test]
 fn lqr_pmsm() {
     let plant = plants::pmsm();
@@ -211,7 +212,8 @@ fn lqr_pmsm() {
     }
 }
 
-/// LQR on the small plants of the zoo (`D = 5` and `D = 7`).
+/// LQR on the small plants of the zoo (`D = 5` and `D = 7`, simulated on
+/// 4 and 6).
 #[test]
 fn lqr_small_plants() {
     let cases = [
@@ -239,7 +241,7 @@ fn lqr_small_plants() {
 }
 
 /// Output-feedback LQG on the PMSM: an observer-based controller with
-/// `s = n + r`, the largest lift of the zoo (`D = 12`).
+/// `s = n + r`, the largest lift of the zoo (`D = 12`, simulated on 10).
 #[test]
 fn lqg_pmsm() {
     let plant = plants::pmsm();
@@ -251,8 +253,8 @@ fn lqg_pmsm() {
     check("lqg pmsm", &plant, &table, &sc, THRESHOLD);
 }
 
-/// Two decoupled PMSMs under one LQR: `D = 6 + 4 + 2·4 = 18`, above every
-/// fixed-dimension kernel.
+/// Two decoupled PMSMs under one LQR: `D = 6 + 4 + 2·4 = 18` (simulated on
+/// 14), above every fixed-dimension kernel.
 #[test]
 fn lqr_block_diagonal_beyond_fixed_kernels() {
     let pmsm = plants::pmsm();
