@@ -5,6 +5,7 @@ use overrun_control::prelude::*;
 use overrun_control::sim::{ClosedLoopSim, SimScenario};
 use overrun_control::ControllerMode;
 use overrun_linalg::{spectral_radius, Matrix};
+use overrun_rtsim::{OverrunPolicy, Span};
 use proptest::prelude::*;
 
 /// Strategy: a Hurwitz-leaning 2x2 continuous plant (not necessarily
@@ -50,6 +51,35 @@ proptest! {
         for frac in [0.1, 0.5, 0.9, 1.0] {
             let mode = hset.mode_for_response(frac * hset.rmax()).unwrap();
             prop_assert!(mode < hset.len());
+        }
+    }
+
+    /// The paper's release rule (Sec. IV-A) on random response times
+    /// `R ≤ Rmax`: every interval `h_k = T + Δ_k` that
+    /// `OverrunPolicy::apply` produces is the interval of the mode that
+    /// `mode_for_response` assigns to `R_k` in the designed `H` (Eq. 3).
+    #[test]
+    fn release_intervals_map_into_designed_h(
+        ts_us in 100u64..5000,
+        ns in 1u32..8,
+        factor in 1.0..3.0f64,
+        fractions in prop::collection::vec(1e-6..=1.0f64, 1..40),
+    ) {
+        let period = Span::from_micros(ts_us * u64::from(ns));
+        let t = period.as_secs_f64();
+        let hset = IntervalSet::from_timing(t, factor * t, ns).unwrap();
+        let rmax = Span::from_secs_f64(hset.rmax()).as_nanos();
+        let responses: Vec<Span> = fractions
+            .iter()
+            .map(|&f| Span::from_nanos(((f * rmax as f64) as u64).clamp(1, rmax)))
+            .collect();
+        let trace = OverrunPolicy::new(period, ns).unwrap().apply(&responses).unwrap();
+        for job in &trace.jobs {
+            let mode = hset.mode_for_response(job.response.as_secs_f64()).unwrap();
+            let h = job.interval.as_secs_f64();
+            prop_assert_eq!(hset.intervals()[mode].to_bits(), h.to_bits(),
+                "response {} gives {} but mode {}", job.response, job.interval, mode);
+            prop_assert_eq!(hset.index_of(h), Some(mode));
         }
     }
 

@@ -1,17 +1,12 @@
 use std::fmt;
 
-/// Error type for the real-time simulator.
+/// Error type of the release-policy model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Error {
     /// A configuration value is invalid (zero period, `Ns = 0`, …).
     InvalidConfig(String),
-    /// The task set is not schedulable / the RTA iteration diverged.
-    Unschedulable {
-        /// Task whose response time exceeded its analysis bound.
-        task: String,
-    },
-    /// A simulation invariant was violated (indicates a bug upstream).
+    /// A trace invariant was violated (indicates a bug upstream).
     Invariant(String),
 }
 
@@ -19,10 +14,7 @@ impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            Error::Unschedulable { task } => {
-                write!(f, "task `{task}` is unschedulable under the given bound")
-            }
-            Error::Invariant(msg) => write!(f, "simulation invariant violated: {msg}"),
+            Error::Invariant(msg) => write!(f, "trace invariant violated: {msg}"),
         }
     }
 }

@@ -210,8 +210,7 @@ pub struct JobRecord {
     pub overran: bool,
 }
 
-/// A sequence of control jobs produced by [`OverrunPolicy::apply`] or by the
-/// scheduler.
+/// A sequence of control jobs produced by [`OverrunPolicy::apply`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReleaseTrace {
     /// Jobs in release order.

@@ -1,6 +1,6 @@
 //! Timeline rendering (reproduces Figure 1 of the paper).
 
-use crate::{ReleaseTrace, Result, ScheduleTrace, Task};
+use crate::{ReleaseTrace, Result};
 
 /// Options for [`render_timeline`].
 #[derive(Debug, Clone)]
@@ -189,117 +189,5 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("job,"));
         assert!(lines[2].contains(",1")); // the overrun flag on job 1
-    }
-}
-
-/// Renders a multi-task Gantt chart of a scheduler run: one row per task,
-/// `#` where the task's jobs are executing-or-pending (release to finish),
-/// aligned on a shared millisecond-scale grid. Intended for eyeballing
-/// preemption patterns; precision is one column per `cols_ns` nanoseconds.
-///
-/// # Example
-///
-/// ```
-/// use overrun_rtsim::{gantt, ExecutionModel, Scheduler, SchedulerConfig, Span, Task};
-///
-/// # fn main() -> Result<(), overrun_rtsim::Error> {
-/// let tasks = vec![
-///     Task::new("hp", Span::from_millis(5), 0, ExecutionModel::Constant(Span::from_millis(1))),
-///     Task::new("lp", Span::from_millis(10), 1, ExecutionModel::Constant(Span::from_millis(4))),
-/// ];
-/// let sched = Scheduler::new(tasks.clone())?;
-/// let trace = sched.run(&SchedulerConfig { horizon: Span::from_millis(40), seed: 0 })?;
-/// let art = gantt(&trace, &tasks, 1_000_000, 60);
-/// assert!(art.contains("hp"));
-/// # Ok(())
-/// # }
-/// ```
-pub fn gantt(trace: &ScheduleTrace, tasks: &[Task], cols_ns: u64, max_cols: usize) -> String {
-    let cols_ns = cols_ns.max(1);
-    let mut out = String::new();
-    let end = trace
-        .jobs
-        .iter()
-        .map(|j| j.finish.as_nanos())
-        .max()
-        .unwrap_or(0);
-    let width = ((end / cols_ns) as usize + 1).min(max_cols.max(1));
-    let name_width = tasks.iter().map(|t| t.name.len()).max().unwrap_or(4).max(4);
-    for (i, task) in tasks.iter().enumerate() {
-        let mut row = vec!['.'; width];
-        for job in trace.jobs.iter().filter(|j| j.task.index() == i) {
-            let start = (job.release.as_nanos() / cols_ns) as usize;
-            let stop = (job.finish.as_nanos() / cols_ns) as usize;
-            for c in row
-                .iter_mut()
-                .take(stop.min(width - 1) + 1)
-                .skip(start.min(width - 1))
-            {
-                *c = '#';
-            }
-        }
-        out.push_str(&format!("{:>name_width$} ", task.name));
-        out.extend(row);
-        out.push('\n');
-    }
-    out
-}
-
-#[cfg(test)]
-mod gantt_tests {
-    use super::*;
-    use crate::{ExecutionModel, Scheduler, SchedulerConfig, Span};
-
-    #[test]
-    fn gantt_renders_all_tasks() {
-        let tasks = vec![
-            Task::new(
-                "hp",
-                Span::from_millis(5),
-                0,
-                ExecutionModel::Constant(Span::from_millis(1)),
-            ),
-            Task::new(
-                "lp",
-                Span::from_millis(10),
-                1,
-                ExecutionModel::Constant(Span::from_millis(4)),
-            ),
-        ];
-        let sched = Scheduler::new(tasks.clone()).unwrap();
-        let trace = sched
-            .run(&SchedulerConfig {
-                horizon: Span::from_millis(50),
-                seed: 0,
-            })
-            .unwrap();
-        let art = gantt(&trace, &tasks, 1_000_000, 80);
-        let lines: Vec<&str> = art.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("hp"));
-        assert!(lines[1].contains("lp"));
-        assert!(lines[0].contains('#'));
-        // The hp row must show activity at t = 0.
-        let hp_row = lines[0].split_whitespace().nth(1).unwrap();
-        assert!(hp_row.starts_with('#'));
-    }
-
-    #[test]
-    fn gantt_caps_width() {
-        let tasks = vec![Task::new(
-            "t",
-            Span::from_millis(1),
-            0,
-            ExecutionModel::Constant(Span::from_micros(100)),
-        )];
-        let sched = Scheduler::new(tasks.clone()).unwrap();
-        let trace = sched
-            .run(&SchedulerConfig {
-                horizon: Span::from_secs(1),
-                seed: 0,
-            })
-            .unwrap();
-        let art = gantt(&trace, &tasks, 1_000_000, 40);
-        assert!(art.lines().next().unwrap().len() <= 40 + 8);
     }
 }

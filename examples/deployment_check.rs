@@ -1,6 +1,7 @@
 //! The deployment-decoupling workflow of paper Sec. V-B: certify a
 //! controller once for a designed `Rmax`, then re-deploy on platforms with
-//! different task mixes by checking only `H̃ ⊆ H` — no controller retuning.
+//! other measured worst-case response times by checking only `H̃ ⊆ H` —
+//! no controller retuning.
 //!
 //! ```text
 //! cargo run -p overrun-control --example deployment_check
@@ -8,61 +9,34 @@
 #![allow(clippy::print_stdout)] // examples exist to print
 
 use overrun_control::prelude::*;
-use overrun_rtsim::{response_time_analysis, ExecutionModel, Span, Task};
-
-fn platform(extra_irq_wcet_ms: u64) -> Vec<Task> {
-    vec![
-        Task::new(
-            "irq",
-            Span::from_millis(25),
-            0,
-            ExecutionModel::Constant(Span::from_millis(extra_irq_wcet_ms)),
-        ),
-        Task::new(
-            "control",
-            Span::from_millis(10),
-            1,
-            ExecutionModel::Uniform {
-                min: Span::from_millis(2),
-                max: Span::from_millis(6),
-            },
-        ),
-    ]
-}
+use overrun_rtsim::{OverrunPolicy, Span};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let plant = plants::unstable_second_order();
-    let t = 0.010;
-    let ns = 5;
+    let (t, ns) = (Span::from_millis(10), 5);
+    let designed_rmax = Span::from_millis(16);
 
     // Design-time: budget Rmax = 1.6 T and certify once.
-    let designed = IntervalSet::from_timing(t, 1.6 * t, ns)?;
+    let policy = OverrunPolicy::new(t, ns)?;
+    let designed = IntervalSet::from_policy(&policy, designed_rmax)?;
     let table = pi::design_adaptive(&plant, &designed)?;
     let report = stability::certify(&plant, &table, &Default::default())?;
     println!(
-        "designed for Rmax = 16 ms: JSR = {} => {}",
+        "designed for Rmax = {designed_rmax}: JSR = {} => {}",
         report.bounds, report.verdict
     );
 
-    // Deployment-time: for each candidate platform, compute the control
-    // task's WCRT by response-time analysis and check the subset rule.
-    for irq_wcet in [3u64, 6, 9, 12] {
-        let tasks = platform(irq_wcet);
-        match response_time_analysis(&tasks) {
-            Ok(wcrt) => {
-                let actual_rmax = wcrt[1].as_secs_f64();
-                let actual = IntervalSet::from_timing(t, actual_rmax, ns)?;
-                let ok = actual.is_subset_of(&designed);
-                println!(
-                    "platform with {irq_wcet} ms IRQ: control WCRT = {} -> H~ has {} intervals, deployable = {ok}",
-                    wcrt[1],
-                    actual.len(),
-                );
-            }
-            Err(e) => {
-                println!("platform with {irq_wcet} ms IRQ: {e} -> not deployable");
-            }
-        }
+    // Deployment-time: each candidate platform comes with its measured
+    // worst-case response time of the control task; the certificate
+    // transfers when the interval set it induces is a subset of H.
+    for measured in [9, 13, 16, 19].map(Span::from_millis) {
+        let actual = IntervalSet::from_policy(&policy, measured)?;
+        let ok = policy.deployment_compatible(designed_rmax, measured)?;
+        assert_eq!(ok, actual.is_subset_of(&designed));
+        println!(
+            "platform with Rmax = {measured}: H~ has {} intervals, deployable = {ok}",
+            actual.len(),
+        );
     }
     println!(
         "\nThe certificate transfers to every platform whose interval set is a \
