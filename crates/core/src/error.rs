@@ -14,11 +14,6 @@ pub enum Error {
     Rtsim(overrun_rtsim::Error),
     /// A controller design step failed (e.g. no stabilising gains found).
     Design(String),
-    /// A simulated trajectory diverged (state left the finite range).
-    Diverged {
-        /// Job index at which divergence was detected.
-        at_job: usize,
-    },
 }
 
 impl fmt::Display for Error {
@@ -29,9 +24,6 @@ impl fmt::Display for Error {
             Error::Jsr(e) => write!(f, "stability analysis failure: {e}"),
             Error::Rtsim(e) => write!(f, "timing simulation failure: {e}"),
             Error::Design(msg) => write!(f, "controller design failed: {msg}"),
-            Error::Diverged { at_job } => {
-                write!(f, "closed-loop trajectory diverged at job {at_job}")
-            }
         }
     }
 }
