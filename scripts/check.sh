@@ -12,6 +12,9 @@ cargo fmt --all -- --check
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> perfbench/Cargo.lock resolves unchanged (offline, locked; writes nothing)"
+cargo metadata --offline --locked --format-version 1 --manifest-path perfbench/Cargo.toml >/dev/null
+
 echo "==> cargo test -q"
 cargo test -q
 
