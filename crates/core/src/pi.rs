@@ -18,9 +18,15 @@
 //! interval gets one evaluator: it discretises the plant and builds
 //! `Ω(h)` once, then scores a gain pair by rewriting the one gain-dependent
 //! row of `Ω(h)` before its eigen-solve, and by running the nominal step
-//! response on flat slices and reused state buffers. Every sum keeps the
-//! accumulation order of [`Matrix::matmul`], so the tuned gains are those
-//! of the generic matrix recursion, bit for bit.
+//! response on flat slices with the plant state in local arrays. The
+//! margin scan keeps the radii of its 256 grid points, and the tuning scan
+//! of the same interval reads them, so it solves no eigenproblem of its own.
+//! Every sum keeps the accumulation order of [`Matrix::matmul`], so the
+//! tuned gains are those of the generic matrix recursion, bit for bit.
+//!
+//! Eigen-solves of `Ω(h)` (allocation-free, see [`spectral_radius`]) take
+//! most of a design's time, and the 400-job step responses most of the
+//! rest.
 
 use overrun_linalg::optimize::{nelder_mead, NelderMeadOptions};
 use overrun_linalg::{spectral_radius, Matrix};
@@ -84,8 +90,10 @@ fn dot(a: &[f64], x: &[f64]) -> f64 {
 }
 
 /// The two tuning objectives of one `(plant, h)` pair. The plant is
-/// discretised and `Ω(h)` built once; an evaluation allocates nothing
-/// beyond the eigen-solve of [`Evaluator::rho`].
+/// discretised and `Ω(h)` built once, and an evaluation of a plant with up
+/// to four states allocates nothing. A larger plant's step response takes
+/// one heap buffer, and above nine states (a lift beyond 12 × 12) so does
+/// the eigen-solve.
 struct Evaluator {
     d: DiscreteSs,
     /// `Ω(h)` of the last gains passed to [`Evaluator::rho`].
@@ -93,9 +101,9 @@ struct Evaluator {
     /// `−C·Φ(h)` and `−C·Γ(h)`, as [`lifted::omega_from_discrete`] forms them.
     neg_cm_phi: Matrix,
     neg_cm_gamma: f64,
-    /// Plant state buffers of [`Evaluator::step_cost`].
-    x: Vec<f64>,
-    x_next: Vec<f64>,
+    /// `ρ(Ω(h))` at every point of the signed gain grid, in scan order, once
+    /// the margin scan has run; the tuning scan at the same `h` reads them.
+    grid_rho: Option<[f64; GRID_POINTS]>,
 }
 
 impl Evaluator {
@@ -110,14 +118,12 @@ impl Evaluator {
         let mut neg_cm_phi = d.c.matmul(&d.phi)?;
         neg_cm_phi.scale_in_place(-1.0);
         let neg_cm_gamma = -dot(d.c.as_slice(), d.gamma.as_slice());
-        let n = d.state_dim();
         Ok(Evaluator {
             d,
             omega,
             neg_cm_phi,
             neg_cm_gamma,
-            x: vec![0.0; n],
-            x_next: vec![0.0; n],
+            grid_rho: None,
         })
     }
 
@@ -135,35 +141,71 @@ impl Evaluator {
         spectral_radius(&self.omega).unwrap_or(f64::INFINITY)
     }
 
+    /// Phase-2 objective: the nominal step cost of `(kp, ki)`, or a penalty
+    /// growing with `ρ(Ω(h))` once it reaches `margin`. `rho` is that
+    /// radius when it is already known.
+    fn tracking_cost(&mut self, kp: f64, ki: f64, margin: f64, rho: Option<f64>) -> f64 {
+        let rho = rho.unwrap_or_else(|| self.rho(kp, ki));
+        if rho >= margin {
+            return 1e6 * rho.min(10.0);
+        }
+        self.step_cost(kp, ki, COST_STEPS)
+    }
+
     /// Nominal closed-loop cost of the gains `(kp, ki)` running at the
     /// constant interval `h`: the step-response integral square error over
     /// `steps` jobs plus a terminal penalty weighting the residual
     /// steady-state error, and `∞` once the plant state leaves `±1e9`.
-    fn step_cost(&mut self, kp: f64, ki: f64, steps: usize) -> f64 {
+    fn step_cost(&self, kp: f64, ki: f64, steps: usize) -> f64 {
+        match self.d.state_dim() {
+            1 => self.step_cost_in(kp, ki, steps, [0.0; 1], [0.0; 1]),
+            2 => self.step_cost_in(kp, ki, steps, [0.0; 2], [0.0; 2]),
+            3 => self.step_cost_in(kp, ki, steps, [0.0; 3], [0.0; 3]),
+            4 => self.step_cost_in(kp, ki, steps, [0.0; 4], [0.0; 4]),
+            n => {
+                let mut state = vec![0.0; 2 * n];
+                let (x, x_next) = state.split_at_mut(n);
+                self.step_cost_in(kp, ki, steps, x, x_next)
+            }
+        }
+    }
+
+    /// [`Evaluator::step_cost`] from the zeroed plant states `x` and
+    /// `x_next`, which it swaps every job. Plants of up to four states pass
+    /// arrays, whose length the compiler knows, so the state stays in
+    /// registers; larger ones pass the halves of one heap buffer.
+    fn step_cost_in<S: AsRef<[f64]> + AsMut<[f64]>>(
+        &self,
+        kp: f64,
+        ki: f64,
+        steps: usize,
+        mut x: S,
+        mut x_next: S,
+    ) -> f64 {
         let phi = self.d.phi.as_slice();
         let gamma = self.d.gamma.as_slice();
         let c = self.d.c.as_slice();
-        let (n, h) = (self.x.len(), self.d.h);
-        self.x.fill(0.0);
+        let (n, h) = (x.as_ref().len(), self.d.h);
         let (mut z, mut u_applied) = (0.0, 0.0);
         let mut cost = 0.0;
         let mut e = 0.0;
         for _ in 0..steps {
-            e = 1.0 - dot(c, &self.x);
+            e = 1.0 - dot(c, x.as_ref());
             // `ControllerMode::step` term for term, with `Ac = 1`, `Bc = h`,
             // `Cc = ki` and `Dc = kp`.
             let u_new = dot(&[ki], &[z]) + dot(&[kp], &[e]);
             z = dot(&[1.0], &[z]) + dot(&[h], &[e]);
             cost += e * e;
-            for (i, x_i) in self.x_next.iter_mut().enumerate() {
-                *x_i = dot(&phi[i * n..(i + 1) * n], &self.x) + dot(&gamma[i..=i], &[u_applied]);
+            let rows = phi.chunks_exact(n).zip(gamma);
+            for (x_i, (phi_i, gamma_i)) in x_next.as_mut().iter_mut().zip(rows) {
+                *x_i = dot(phi_i, x.as_ref()) + dot(&[*gamma_i], &[u_applied]);
             }
             // The command computed by job k applies from the next release on.
             u_applied = u_new;
-            if !self.x_next.iter().all(|v| v.abs() <= 1e9) {
+            if !x_next.as_ref().iter().all(|v| v.abs() <= 1e9) {
                 return f64::INFINITY;
             }
-            std::mem::swap(&mut self.x, &mut self.x_next);
+            std::mem::swap(&mut x, &mut x_next);
         }
         // Terminal penalty: an O(steps) weight on the residual error makes a
         // biased proportional-only solution (which minimises the short-window
@@ -176,19 +218,25 @@ impl Evaluator {
 /// phases.
 const GAIN_GRID: [f64; 8] = [0.5, 2.0, 8.0, 30.0, 100.0, 300.0, 1000.0, 3000.0];
 
-/// Scans the signed gain grid with an arbitrary objective, returning the
-/// best `(value, kp, ki)` triple.
-fn grid_scan<F: FnMut(f64, f64) -> f64>(mut objective: F) -> (f64, f64, f64) {
+/// Points of the signed gain grid: every magnitude pair, four sign pairs.
+const GRID_POINTS: usize = 4 * GAIN_GRID.len() * GAIN_GRID.len();
+
+/// Scans the signed gain grid with an objective that also receives the
+/// point's index in scan order, returning the best `(value, kp, ki)`
+/// triple.
+fn grid_scan<F: FnMut(usize, f64, f64) -> f64>(mut objective: F) -> (f64, f64, f64) {
     let mut best = (f64::INFINITY, 0.0, 0.0);
+    let mut index = 0;
     for &kp_mag in &GAIN_GRID {
         for &ki_mag in &GAIN_GRID {
             for &sp in &[1.0, -1.0] {
                 for &si in &[1.0, -1.0] {
                     let (kp, ki) = (sp * kp_mag, si * ki_mag);
-                    let f = objective(kp, ki);
+                    let f = objective(index, kp, ki);
                     if f < best.0 {
                         best = (f, kp, ki);
                     }
+                    index += 1;
                 }
             }
         }
@@ -198,11 +246,16 @@ fn grid_scan<F: FnMut(f64, f64) -> f64>(mut objective: F) -> (f64, f64, f64) {
 
 /// Smallest achievable constant-`h` closed-loop spectral radius for the PI
 /// structure on this plant (signed log-grid seed + Nelder–Mead polish), and
-/// the derived tuning margin.
+/// the derived tuning margin. Keeps the grid's radii in `ev.grid_rho`.
 fn contraction_margin(ev: &mut Evaluator) -> Result<f64> {
     let h = ev.d.h;
     let _sp = overrun_trace::span!("pi.margin", h_us = h * 1e6);
-    let seed = grid_scan(|kp, ki| ev.rho(kp, ki));
+    let mut radii = [0.0; GRID_POINTS];
+    let seed = grid_scan(|i, kp, ki| {
+        radii[i] = ev.rho(kp, ki);
+        radii[i]
+    });
+    ev.grid_rho = Some(radii);
     if seed.0 >= 1.0 {
         return Err(Error::Design(format!(
             "no stabilising PI gains found for interval h = {h}"
@@ -246,7 +299,8 @@ pub fn tune_for_interval(plant: &ContinuousSs, h: f64) -> Result<(f64, f64)> {
 }
 
 /// Phase-2 tuning: minimise the tracking cost at constant `h` subject (by
-/// penalty) to `ρ(Ω(h)) < margin`. An optional seed skips the grid scan.
+/// penalty) to `ρ(Ω(h)) < margin`. An optional seed skips the grid scan,
+/// which reads the radii of the margin scan when `ev` kept them.
 fn tune_with_margin(
     ev: &mut Evaluator,
     margin: f64,
@@ -254,25 +308,20 @@ fn tune_with_margin(
 ) -> Result<(f64, f64)> {
     let h = ev.d.h;
     let _sp = overrun_trace::span!("pi.tune", h_us = h * 1e6);
-    let mut objective = |kp: f64, ki: f64| -> f64 {
-        let rho = ev.rho(kp, ki);
-        if rho >= margin {
-            return 1e6 * rho.min(10.0);
-        }
-        ev.step_cost(kp, ki, COST_STEPS)
-    };
     let mut best = match seed {
-        Some((kp, ki)) => (objective(kp, ki), kp, ki),
+        Some((kp, ki)) => (ev.tracking_cost(kp, ki, margin, None), kp, ki),
         None => (f64::INFINITY, 0.0, 0.0),
     };
     if seed.is_none() || !best.0.is_finite() || best.0 >= 1e6 {
-        let grid_best = grid_scan(&mut objective);
+        let radii = ev.grid_rho.take();
+        let grid_best =
+            grid_scan(|i, kp, ki| ev.tracking_cost(kp, ki, margin, radii.as_ref().map(|r| r[i])));
         if grid_best.0 < best.0 {
             best = grid_best;
         }
     }
     let result = nelder_mead(
-        |x| objective(x[0], x[1]),
+        |x| ev.tracking_cost(x[0], x[1], margin, None),
         &[best.1, best.2],
         &NelderMeadOptions {
             max_evals: 400,
@@ -399,8 +448,10 @@ mod tests {
                 gains.extend([(p, i), (-p, i), (p, -i), (-p, -i)]);
             }
         }
-        // A 1-state plant, so `Φ·x` takes the 1 × 1 `small` kernel, and a
-        // 3-state one, whose sums of three or more terms depend on order.
+        // A 1-state plant, so `Φ·x` takes the 1 × 1 `small` kernel, a
+        // 3-state one, whose sums of three or more terms depend on order,
+        // and a 10-state lag chain: above the state arrays of `step_cost`,
+        // with a 13 × 13 lift on the heap path of the eigen-solve.
         let first_order = ContinuousSs::new(
             Matrix::from_rows(&[&[0.8]]).unwrap(),
             Matrix::col_vec(&[2.0]),
@@ -413,6 +464,16 @@ mod tests {
             Matrix::row_vec(&[1.0, 0.5, 0.25]),
         )
         .unwrap();
+        let lag_chain = ContinuousSs::new(
+            Matrix::from_fn(10, 10, |i, j| match j.wrapping_sub(i) {
+                0 => -1.0 - 0.1 * i as f64,
+                1 => 1.0,
+                _ => 0.0,
+            }),
+            Matrix::from_fn(10, 1, |i, _| if i == 9 { 1.0 } else { 0.0 }),
+            Matrix::from_fn(1, 10, |_, j| [1.0, 0.5].get(j).copied().unwrap_or(0.0)),
+        )
+        .unwrap();
         let cases = [
             (
                 "unstable_second_order",
@@ -422,6 +483,7 @@ mod tests {
             ("dc_motor", plants::dc_motor(), 0.05),
             ("first_order", first_order, 0.02),
             ("third_order", third_order, 0.05),
+            ("lag_chain", lag_chain, 0.05),
         ];
         for (name, plant, h) in cases {
             let mut ev = Evaluator::new(&plant, h).unwrap();
@@ -444,7 +506,58 @@ mod tests {
                 "{name}: {diverged} of {} gain pairs diverge",
                 gains.len()
             );
+
+            // The margin scan keeps each grid point's ρ at its scan index,
+            // and a tuning scan that reads them tunes the gains of one that
+            // solves every ρ again.
+            let margin = contraction_margin(&mut ev).unwrap();
+            let radii = ev.grid_rho.unwrap();
+            grid_scan(|i, kp, ki| {
+                let want = reference_rho(&plant, kp, ki, h);
+                assert_eq!(radii[i].to_bits(), want.to_bits(), "{name}: ρ[{i}]");
+                0.0
+            });
+            ev.grid_rho = None;
+            let recomputed = tune_with_margin(&mut ev, margin, None).unwrap();
+            let reused = tune_for_interval(&plant, h).unwrap();
+            assert_eq!(
+                (reused.0.to_bits(), reused.1.to_bits()),
+                (recomputed.0.to_bits(), recomputed.1.to_bits()),
+                "{name}: gains {reused:?} vs {recomputed:?}"
+            );
         }
+    }
+
+    /// The gains of the 18 Table I designs (`T = 10 ms`, `Rmax ∈ {1.1,
+    /// 1.3, 1.6}·T`, `Ns ∈ {2, 5}`; adaptive, fixed at `T`, fixed at
+    /// `Rmax`), as one FNV-1a digest of their bits: a change to the
+    /// eigen-solve, the step response or the scans that moves one gain bit
+    /// fails here.
+    #[test]
+    fn table1_gains_are_pinned() {
+        let plant = plants::unstable_second_order();
+        let t = 0.010;
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for factor in [1.1, 1.3, 1.6] {
+            for ns in [2, 5] {
+                let rmax = factor * t;
+                let hset = IntervalSet::from_timing(t, rmax, ns).unwrap();
+                for table in [
+                    design_adaptive(&plant, &hset).unwrap(),
+                    design_fixed(&plant, &hset, t).unwrap(),
+                    design_fixed(&plant, &hset, rmax).unwrap(),
+                ] {
+                    for mode in table.modes() {
+                        for gain in [mode.dc[(0, 0)], mode.cc[(0, 0)]] {
+                            for byte in gain.to_bits().to_le_bytes() {
+                                digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(digest, 0x716c_219d_d5cb_7ea0, "{digest:#018x}");
     }
 
     #[test]

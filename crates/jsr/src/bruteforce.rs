@@ -19,7 +19,8 @@ pub struct BruteforceOptions {
     pub precondition: bool,
     /// Screen exact Schur evaluations with the O(n²) certified bounds.
     /// Bitwise-neutral: every skipped evaluation is proven unable to move
-    /// either level maximum (see [`crate::screen`]). Default: `true`.
+    /// either level maximum; [`crate::ScreenStats`] counts the skipped
+    /// evaluations. Default: `true`.
     pub screen: bool,
 }
 

@@ -389,7 +389,15 @@ pub fn balance(m: &Matrix) -> Result<(Matrix, Vec<f64>)> {
     }
     let n = m.rows();
     let mut a = m.clone();
-    let mut d = vec![1.0_f64; n];
+    let mut d = vec![0.0; n];
+    balance_in_place(a.as_mut_slice(), n, &mut d);
+    Ok((a, d))
+}
+
+/// The kernel of [`balance`]: balances the row-major `n × n` matrix in `a`
+/// in place and writes the scales to `d` (length `n`).
+pub(crate) fn balance_in_place(a: &mut [f64], n: usize, d: &mut [f64]) {
+    d.fill(1.0);
     let radix = 2.0_f64;
     let mut done = false;
     let mut sweeps = 0;
@@ -401,8 +409,8 @@ pub fn balance(m: &Matrix) -> Result<(Matrix, Vec<f64>)> {
             let mut r = 0.0_f64;
             for j in 0..n {
                 if j != i {
-                    c += a[(j, i)].abs();
-                    r += a[(i, j)].abs();
+                    c += a[j * n + i].abs();
+                    r += a[i * n + j].abs();
                 }
             }
             if c == 0.0 || r == 0.0 {
@@ -426,19 +434,16 @@ pub fn balance(m: &Matrix) -> Result<(Matrix, Vec<f64>)> {
                 if c_new + r_new < 0.95 * s {
                     done = false;
                     d[i] *= f;
-                    for j in 0..n {
-                        let v = a[(i, j)] / f;
-                        a[(i, j)] = v;
+                    for a_ij in &mut a[i * n..(i + 1) * n] {
+                        *a_ij /= f;
                     }
-                    for j in 0..n {
-                        let v = a[(j, i)] * f;
-                        a[(j, i)] = v;
+                    for a_ji in a.iter_mut().skip(i).step_by(n) {
+                        *a_ji *= f;
                     }
                 }
             }
         }
     }
-    Ok((a, d))
 }
 
 #[cfg(test)]

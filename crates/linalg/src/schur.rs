@@ -4,8 +4,15 @@
 //! [`hessenberg`] reduction → Francis implicit double-shift QR iteration.
 //! Only eigenvalues are computed (no Schur vectors), which is all the JSR
 //! machinery and the stability tests need.
+//!
+//! Each stage is one kernel on a flat row-major `n × n` slice with a
+//! runtime `n`. An eigen-solve runs them on stack buffers for
+//! `n ≤ STACK_DIM` (12, which covers the PI lifts `Ω(h)` that PI tuning
+//! scores by the thousand and the 9 × 9 Table II lifts) and on one heap
+//! workspace above that, through the same code. So [`spectral_radius`]
+//! allocates nothing for `n ≤ 12`, and [`eigenvalues`] only its result.
 
-use crate::norms::balance;
+use crate::norms::balance_in_place;
 use crate::{Error, Matrix, Result};
 
 /// A (possibly complex) eigenvalue of a real matrix, stored as `re + i·im`.
@@ -62,27 +69,33 @@ pub fn hessenberg(a: &Matrix) -> Result<Matrix> {
     }
     let n = a.rows();
     let mut h = a.clone();
+    hessenberg_in_place(h.as_mut_slice(), n, &mut vec![0.0; n]);
+    Ok(h)
+}
+
+/// The kernel of [`hessenberg`]: reduces the row-major `n × n` matrix in
+/// `h` in place. `v` (length ≥ `n`) holds the Householder vector.
+fn hessenberg_in_place(h: &mut [f64], n: usize, v: &mut [f64]) {
     if n < 3 {
-        return Ok(h);
+        return;
     }
-    let mut v = vec![0.0_f64; n];
     for k in 0..n - 2 {
         // Householder vector annihilating h[k+2.., k].
         let mut norm_x = 0.0_f64;
         for i in (k + 1)..n {
-            norm_x = norm_x.hypot(h[(i, k)]);
+            norm_x = norm_x.hypot(h[i * n + k]);
         }
         if norm_x == 0.0 {
             continue;
         }
-        let alpha = if h[(k + 1, k)] >= 0.0 {
+        let alpha = if h[(k + 1) * n + k] >= 0.0 {
             -norm_x
         } else {
             norm_x
         };
         let mut v_norm_sq = 0.0_f64;
         for i in (k + 1)..n {
-            v[i] = h[(i, k)];
+            v[i] = h[i * n + k];
             if i == k + 1 {
                 v[i] -= alpha;
             }
@@ -92,38 +105,123 @@ pub fn hessenberg(a: &Matrix) -> Result<Matrix> {
             continue;
         }
         let beta = 2.0 / v_norm_sq;
+        let v = &v[k + 1..n];
         // Left update: H := (I − β v vᵀ) H  on rows k+1.., all cols.
         for j in 0..n {
             let mut dot = 0.0;
-            for i in (k + 1)..n {
-                dot += v[i] * h[(i, j)];
+            for (i, &v_i) in (k + 1..n).zip(v) {
+                dot += v_i * h[i * n + j];
             }
             let s = beta * dot;
-            for i in (k + 1)..n {
-                let val = h[(i, j)] - s * v[i];
-                h[(i, j)] = val;
+            for (i, &v_i) in (k + 1..n).zip(v) {
+                h[i * n + j] -= s * v_i;
             }
         }
         // Right update: H := H (I − β v vᵀ)  on cols k+1.., all rows.
-        for i in 0..n {
+        for row in h.chunks_exact_mut(n) {
+            let tail = &mut row[k + 1..];
             let mut dot = 0.0;
-            for j in (k + 1)..n {
-                dot += h[(i, j)] * v[j];
+            for (&h_ij, &v_j) in tail.iter().zip(v) {
+                dot += h_ij * v_j;
             }
             let s = beta * dot;
-            for j in (k + 1)..n {
-                let val = h[(i, j)] - s * v[j];
-                h[(i, j)] = val;
+            for (h_ij, &v_j) in tail.iter_mut().zip(v) {
+                *h_ij -= s * v_j;
             }
         }
         // Entries below the first subdiagonal in column k are now zero by
         // construction; set them exactly to avoid drift.
-        h[(k + 1, k)] = alpha;
+        h[(k + 1) * n + k] = alpha;
         for i in (k + 2)..n {
-            h[(i, k)] = 0.0;
+            h[i * n + k] = 0.0;
         }
     }
-    Ok(h)
+}
+
+/// Largest order whose eigen-solve runs on stack buffers.
+const STACK_DIM: usize = 12;
+
+/// Length of the workspace of one order-`n` eigen-solve: the working
+/// matrix, the balancing scales and the Householder vector.
+const fn workspace_len(n: usize) -> usize {
+    n * n + 2 * n
+}
+
+/// Checks `a` and hands its eigenvalues, in the order [`eigenvalues`]
+/// returns them, to `f`. The buffers live on the stack for
+/// `n ≤ STACK_DIM` and on the heap above it.
+fn with_eigenvalues<R>(a: &Matrix, f: impl FnOnce(&[Eigenvalue]) -> R) -> Result<R> {
+    if !a.is_square() {
+        return Err(Error::NotSquare {
+            op: "eigenvalues",
+            dims: a.shape(),
+        });
+    }
+    if !a.is_finite() {
+        return Err(Error::InvalidData(
+            "eigenvalues of a matrix with non-finite entries".into(),
+        ));
+    }
+    let n = a.rows();
+    if n <= STACK_DIM {
+        let mut ws = [0.0; workspace_len(STACK_DIM)];
+        let mut eig = [Eigenvalue::default(); STACK_DIM];
+        solve(a.as_slice(), n, &mut ws, &mut eig[..n])?;
+        Ok(f(&eig[..n]))
+    } else {
+        let mut ws = vec![0.0; workspace_len(n)];
+        let mut eig = vec![Eigenvalue::default(); n];
+        solve(a.as_slice(), n, &mut ws, &mut eig)?;
+        Ok(f(&eig))
+    }
+}
+
+/// Writes the eigenvalues of the finite row-major `n × n` matrix `a` to
+/// `eig` (length `n`), using `ws` (length ≥ `workspace_len(n)`).
+fn solve(a: &[f64], n: usize, ws: &mut [f64], eig: &mut [Eigenvalue]) -> Result<()> {
+    if n == 1 {
+        eig[0] = Eigenvalue::new(a[0], 0.0);
+        return Ok(());
+    }
+    let (m, rest) = ws.split_at_mut(n * n);
+    let (d, v) = rest.split_at_mut(n);
+    let mut run = |m: &mut [f64], eig: &mut [Eigenvalue]| -> Result<()> {
+        balance_in_place(m, n, d);
+        hessenberg_in_place(m, n, v);
+        hqr(m, n, eig)
+    };
+    m.copy_from_slice(a);
+    if run(m, eig).is_ok() {
+        return Ok(());
+    }
+    // The QR iteration can stall on rare inputs. All retries below are
+    // *exact*: the transpose has the same spectrum, and the eigenvalues of
+    // `A + εI` are exactly those of `A` shifted by `ε`.
+    for i in 0..n {
+        for j in 0..n {
+            m[j * n + i] = a[i * n + j];
+        }
+    }
+    let Err(first) = run(m, eig) else {
+        return Ok(());
+    };
+    let scale = a.iter().fold(0.0_f64, |s, &x| s.max(x.abs())).max(1.0);
+    for exp in [-12, -10, -8, -6] {
+        let eps = scale * 10.0_f64.powi(exp);
+        for (i, (row, a_row)) in m.chunks_exact_mut(n).zip(a.chunks_exact(n)).enumerate() {
+            for (j, (m_ij, &a_ij)) in row.iter_mut().zip(a_row).enumerate() {
+                // `A + ε·I` entry by entry, `+ 0.0` off the diagonal included.
+                *m_ij = a_ij + if i == j { eps } else { 0.0 };
+            }
+        }
+        if run(m, eig).is_ok() {
+            for e in eig.iter_mut() {
+                e.re -= eps;
+            }
+            return Ok(());
+        }
+    }
+    Err(first)
 }
 
 /// Computes all eigenvalues of a square real matrix.
@@ -141,63 +239,18 @@ pub fn hessenberg(a: &Matrix) -> Result<Matrix> {
 /// balancing, exceptional shifts and the exact transpose/shift retries
 /// enabled).
 pub fn eigenvalues(a: &Matrix) -> Result<Vec<Eigenvalue>> {
-    if !a.is_square() {
-        return Err(Error::NotSquare {
-            op: "eigenvalues",
-            dims: a.shape(),
-        });
-    }
-    if !a.is_finite() {
-        return Err(Error::InvalidData(
-            "eigenvalues of a matrix with non-finite entries".into(),
-        ));
-    }
-    let n = a.rows();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    if n == 1 {
-        return Ok(vec![Eigenvalue::new(a[(0, 0)], 0.0)]);
-    }
-    let run = |m: &Matrix| -> Result<Vec<Eigenvalue>> {
-        let (balanced, _) = balance(m)?;
-        hqr(hessenberg(&balanced)?)
-    };
-    // The QR iteration can stall on rare inputs. All retries below are
-    // *exact*: the transpose has the same spectrum, and the eigenvalues of
-    // `A + εI` are exactly those of `A` shifted by `ε`.
-    match run(a) {
-        Ok(e) => Ok(e),
-        Err(_) => match run(&a.transpose()) {
-            Ok(e) => Ok(e),
-            Err(first) => {
-                let scale = a.max_abs().max(1.0);
-                for exp in [-12, -10, -8, -6] {
-                    let eps = scale * 10.0_f64.powi(exp);
-                    let shifted = a.add_mat(&(Matrix::identity(n) * eps))?;
-                    if let Ok(eigs) = run(&shifted) {
-                        return Ok(eigs
-                            .into_iter()
-                            .map(|e| Eigenvalue::new(e.re - eps, e.im))
-                            .collect());
-                    }
-                }
-                Err(first)
-            }
-        },
-    }
+    with_eigenvalues(a, <[Eigenvalue]>::to_vec)
 }
 
-/// Spectral radius `ρ(A) = max |λᵢ|`.
+/// Spectral radius `ρ(A) = max |λᵢ|`. Allocates nothing for `n ≤ 12`.
 ///
 /// # Errors
 ///
 /// Propagates the errors of [`eigenvalues`].
 pub fn spectral_radius(a: &Matrix) -> Result<f64> {
-    Ok(eigenvalues(a)?
-        .iter()
-        .map(Eigenvalue::modulus)
-        .fold(0.0, f64::max))
+    with_eigenvalues(a, |eig| {
+        eig.iter().map(Eigenvalue::modulus).fold(0.0, f64::max)
+    })
 }
 
 /// Fortran-style `SIGN(a, b) = |a| * sgn(b)` with `sgn(0) = +1`.
@@ -210,21 +263,22 @@ fn sign(a: f64, b: f64) -> f64 {
     }
 }
 
-/// Francis double-shift QR iteration on an upper Hessenberg matrix
-/// (eigenvalues only). Adapted from the classical `hqr` algorithm
+/// Francis double-shift QR iteration on the row-major upper Hessenberg
+/// `n × n` matrix `a` (overwritten), writing the eigenvalues to `eig`
+/// (length `n`). Adapted from the classical `hqr` algorithm
 /// (Wilkinson–Reinsch / EISPACK lineage).
-fn hqr(mut a: Matrix) -> Result<Vec<Eigenvalue>> {
-    let n = a.rows();
-    let mut eig = vec![Eigenvalue::default(); n];
+fn hqr(a: &mut [f64], n: usize, eig: &mut [Eigenvalue]) -> Result<()> {
+    let at = |i: usize, j: usize| i * n + j;
+    eig.fill(Eigenvalue::default());
     // Overall norm used in the deflation test when a diagonal pair is zero.
     let mut anorm = 0.0_f64;
     for i in 0..n {
         for j in i.saturating_sub(1)..n {
-            anorm += a[(i, j)].abs();
+            anorm += a[at(i, j)].abs();
         }
     }
     if anorm == 0.0 {
-        return Ok(eig); // zero matrix
+        return Ok(()); // zero matrix
     }
 
     let eps = f64::EPSILON;
@@ -239,25 +293,25 @@ fn hqr(mut a: Matrix) -> Result<Vec<Eigenvalue>> {
             let mut l = 0usize;
             let mut ll = nnu;
             while ll >= 1 {
-                let s = a[(ll - 1, ll - 1)].abs() + a[(ll, ll)].abs();
+                let s = a[at(ll - 1, ll - 1)].abs() + a[at(ll, ll)].abs();
                 let s = if s == 0.0 { anorm } else { s };
-                if a[(ll, ll - 1)].abs() <= eps * s {
-                    a[(ll, ll - 1)] = 0.0;
+                if a[at(ll, ll - 1)].abs() <= eps * s {
+                    a[at(ll, ll - 1)] = 0.0;
                     l = ll;
                     break;
                 }
                 ll -= 1;
             }
 
-            let mut x = a[(nnu, nnu)];
+            let mut x = a[at(nnu, nnu)];
             if l == nnu {
                 // One real root found.
                 eig[nnu] = Eigenvalue::new(x + t, 0.0);
                 nn -= 1;
                 continue 'outer;
             }
-            let mut y = a[(nnu - 1, nnu - 1)];
-            let mut w = a[(nnu, nnu - 1)] * a[(nnu - 1, nnu)];
+            let mut y = a[at(nnu - 1, nnu - 1)];
+            let mut w = a[at(nnu, nnu - 1)] * a[at(nnu - 1, nnu)];
             if l == nnu - 1 {
                 // A 2x2 block: two roots (real pair or complex conjugates).
                 let p = 0.5 * (y - x);
@@ -289,10 +343,9 @@ fn hqr(mut a: Matrix) -> Result<Vec<Eigenvalue>> {
                 // Exceptional shift.
                 t += x;
                 for i in 0..=nnu {
-                    let v = a[(i, i)] - x;
-                    a[(i, i)] = v;
+                    a[at(i, i)] -= x;
                 }
-                let s = a[(nnu, nnu - 1)].abs() + a[(nnu - 1, nnu - 2)].abs();
+                let s = a[at(nnu, nnu - 1)].abs() + a[at(nnu - 1, nnu - 2)].abs();
                 x = 0.75 * s;
                 y = x;
                 w = -0.4375 * s * s;
@@ -305,12 +358,12 @@ fn hqr(mut a: Matrix) -> Result<Vec<Eigenvalue>> {
             let mut q;
             let mut r;
             loop {
-                let z = a[(m, m)];
+                let z = a[at(m, m)];
                 let rr = x - z;
                 let ss = y - z;
-                p = (rr * ss - w) / a[(m + 1, m)] + a[(m, m + 1)];
-                q = a[(m + 1, m + 1)] - z - rr - ss;
-                r = a[(m + 2, m + 1)];
+                p = (rr * ss - w) / a[at(m + 1, m)] + a[at(m, m + 1)];
+                q = a[at(m + 1, m + 1)] - z - rr - ss;
+                r = a[at(m + 2, m + 1)];
                 let s = p.abs() + q.abs() + r.abs();
                 p /= s;
                 q /= s;
@@ -318,26 +371,30 @@ fn hqr(mut a: Matrix) -> Result<Vec<Eigenvalue>> {
                 if m == l {
                     break;
                 }
-                let u = a[(m, m - 1)].abs() * (q.abs() + r.abs());
-                let v = p.abs() * (a[(m - 1, m - 1)].abs() + z.abs() + a[(m + 1, m + 1)].abs());
+                let u = a[at(m, m - 1)].abs() * (q.abs() + r.abs());
+                let v = p.abs() * (a[at(m - 1, m - 1)].abs() + z.abs() + a[at(m + 1, m + 1)].abs());
                 if u <= eps * v {
                     break;
                 }
                 m -= 1;
             }
             for i in (m + 2)..=nnu {
-                a[(i, i - 2)] = 0.0;
+                a[at(i, i - 2)] = 0.0;
             }
             for i in (m + 3)..=nnu {
-                a[(i, i - 3)] = 0.0;
+                a[at(i, i - 3)] = 0.0;
             }
 
             // Double QR step on rows l..=nn, columns l..=nn.
             for k in m..nnu {
                 if k != m {
-                    p = a[(k, k - 1)];
-                    q = a[(k + 1, k - 1)];
-                    r = if k != nnu - 1 { a[(k + 2, k - 1)] } else { 0.0 };
+                    p = a[at(k, k - 1)];
+                    q = a[at(k + 1, k - 1)];
+                    r = if k != nnu - 1 {
+                        a[at(k + 2, k - 1)]
+                    } else {
+                        0.0
+                    };
                     x = p.abs() + q.abs() + r.abs();
                     if x != 0.0 {
                         p /= x;
@@ -351,11 +408,10 @@ fn hqr(mut a: Matrix) -> Result<Vec<Eigenvalue>> {
                 }
                 if k == m {
                     if l != m {
-                        let v = -a[(k, k - 1)];
-                        a[(k, k - 1)] = v;
+                        a[at(k, k - 1)] = -a[at(k, k - 1)];
                     }
                 } else {
-                    a[(k, k - 1)] = -s * x;
+                    a[at(k, k - 1)] = -s * x;
                 }
                 p += s;
                 x = p / s;
@@ -365,35 +421,29 @@ fn hqr(mut a: Matrix) -> Result<Vec<Eigenvalue>> {
                 r /= p;
                 // Row modification.
                 for j in k..=nnu {
-                    let mut pp = a[(k, j)] + q * a[(k + 1, j)];
+                    let mut pp = a[at(k, j)] + q * a[at(k + 1, j)];
                     if k != nnu - 1 {
-                        pp += r * a[(k + 2, j)];
-                        let v = a[(k + 2, j)] - pp * z;
-                        a[(k + 2, j)] = v;
+                        pp += r * a[at(k + 2, j)];
+                        a[at(k + 2, j)] -= pp * z;
                     }
-                    let v1 = a[(k + 1, j)] - pp * y;
-                    a[(k + 1, j)] = v1;
-                    let v0 = a[(k, j)] - pp * x;
-                    a[(k, j)] = v0;
+                    a[at(k + 1, j)] -= pp * y;
+                    a[at(k, j)] -= pp * x;
                 }
                 // Column modification.
                 let mmin = nnu.min(k + 3);
                 for i in l..=mmin {
-                    let mut pp = x * a[(i, k)] + y * a[(i, k + 1)];
+                    let mut pp = x * a[at(i, k)] + y * a[at(i, k + 1)];
                     if k != nnu - 1 {
-                        pp += z * a[(i, k + 2)];
-                        let v = a[(i, k + 2)] - pp * r;
-                        a[(i, k + 2)] = v;
+                        pp += z * a[at(i, k + 2)];
+                        a[at(i, k + 2)] -= pp * r;
                     }
-                    let v1 = a[(i, k + 1)] - pp * q;
-                    a[(i, k + 1)] = v1;
-                    let v0 = a[(i, k)] - pp;
-                    a[(i, k)] = v0;
+                    a[at(i, k + 1)] -= pp * q;
+                    a[at(i, k)] -= pp;
                 }
             }
         }
     }
-    Ok(eig)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -418,6 +468,151 @@ mod tests {
                     .any(|e| (e.re - re).abs() < tol && (e.im.abs() - im.abs()).abs() < tol),
                 "missing eigenvalue {re}+{im}i in {eigs:?}"
             );
+        }
+        Ok(())
+    }
+
+    /// FNV-1a digest of the bits of `eigenvalues(a)`, in the order returned.
+    fn eigenvalue_digest(a: &Matrix) -> Result<u64> {
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for e in eigenvalues(a)? {
+            for part in [e.re, e.im] {
+                for byte in part.to_bits().to_le_bytes() {
+                    digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        Ok(digest)
+    }
+
+    /// The bits of `spectral_radius` and `eigenvalues` on four PI lifts
+    /// `Ω(h)` at corners of the tuning grid, a deflated 7 × 7 Table II
+    /// lift, a 13 × 13 matrix on the heap path, and the companion and
+    /// rotation cases below. The PI gains and the Table I/II goldens rest
+    /// on these bits, so a kernel change that moves one fails here.
+    #[test]
+    fn eigen_solves_are_pinned_bit_for_bit() -> TestResult {
+        // `Ω(h)` of the PI loop on `plants::unstable_second_order` at
+        // h = 10 ms with zero gains; the gains `(kp, ki)` set its fourth row
+        // to `[−kp·CΦ, ki, 0, −kp·CΓ]`.
+        let omega = [
+            [
+                1.0024598702626693,
+                0.009762245222670964,
+                0.0,
+                0.0,
+                4.9197405253384354e-5,
+            ],
+            [
+                0.48811226113354816,
+                0.9536486441493144,
+                0.0,
+                0.0,
+                0.009762245222670964,
+            ],
+            [
+                -0.010024598702626692,
+                -9.762245222670965e-5,
+                1.0,
+                0.0,
+                -4.919740525338436e-7,
+            ],
+            [0.0; 5],
+            [0.0, 0.0, 0.0, 1.0, 0.0],
+        ];
+        let (neg_c_phi, neg_c_gamma) = (
+            [-1.0024598702626693, -0.009762245222670964],
+            -4.9197405253384354e-5,
+        );
+        let mut cases = Vec::new();
+        for (kp, ki, rho, eigs) in [
+            (0.5, 0.5, 0x3ff0_d068_8a92_e733, 0x72de_0843_dd71_22ec),
+            (-0.5, 3000.0, 0x3ff1_2376_e2c8_cdc7, 0x19e9_c328_f344_5922),
+            (3000.0, -0.5, 0x3ff2_6b04_c52c_3582, 0x1a01_88d8_10b2_7060),
+            (
+                -3000.0,
+                -3000.0,
+                0x3ff7_bdea_89f3_956c,
+                0xc3ba_3835_732d_7653,
+            ),
+        ] {
+            let mut m = omega;
+            m[3] = [
+                kp * neg_c_phi[0],
+                kp * neg_c_phi[1],
+                ki,
+                0.0,
+                kp * neg_c_gamma,
+            ];
+            let rows: Vec<&[f64]> = m.iter().map(|r| &r[..]).collect();
+            cases.push((Matrix::from_rows(&rows)?, rho, eigs));
+        }
+        // Table II, `Rmax = 1.3·T`, `Ns = 2`: the adaptive design's first
+        // lifted member after deflation.
+        let table2 = Matrix::from_rows(&[
+            &[
+                0.9753099120283326,
+                0.0,
+                0.0,
+                0.0,
+                0.0,
+                0.04938017594333466,
+                0.0,
+            ],
+            &[
+                0.0,
+                0.9723609731272213,
+                -0.01973182908130206,
+                0.0,
+                0.0,
+                0.0,
+                0.049330811712012146,
+            ],
+            &[
+                0.0,
+                0.29597743621953104,
+                0.9969764299061455,
+                0.0,
+                0.0,
+                0.0,
+                0.0074340525419317426,
+            ],
+            &[
+                -10.830781899814273,
+                0.0,
+                0.0,
+                -0.5622470268909473,
+                0.0,
+                -0.5483650983352014,
+                0.0,
+            ],
+            &[
+                0.0,
+                -19.75312069675607,
+                -9.373217830949942,
+                0.0,
+                -0.8038064534929577,
+                0.0,
+                -0.9282511332221364,
+            ],
+            &[0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+            &[0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+        ])?;
+        cases.push((table2, 0x3fe7_1143_edca_bfbe, 0xa22f_1f57_dd6e_a35a));
+        let heap = Matrix::from_fn(13, 13, |i, j| {
+            ((i * 31 + j * 17 + 7) % 101) as f64 / 50.0 - 1.0
+        });
+        cases.push((heap, 0x3ffc_88ee_bf8c_54f1, 0xec16_23e6_7ce8_1962));
+        let companion =
+            Matrix::from_rows(&[&[6.0, -11.0, 6.0], &[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0]])?;
+        cases.push((companion, 0x4007_ffff_ffff_fffc, 0x7cd9_020f_5216_ad7b));
+        let th = 0.7_f64;
+        let rotation = Matrix::from_rows(&[&[th.cos(), -th.sin()], &[th.sin(), th.cos()]])?;
+        cases.push((rotation, 0x3ff0_0000_0000_0000, 0x1b6d_3d4e_0c02_5e11));
+        for (a, rho, eigs) in &cases {
+            let n = a.rows();
+            assert_eq!(spectral_radius(a)?.to_bits(), *rho, "ρ, n = {n}");
+            assert_eq!(eigenvalue_digest(a)?, *eigs, "eigenvalues, n = {n}");
         }
         Ok(())
     }

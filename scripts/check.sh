@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full local gate: rustfmt, release build, test suite, and lint-clean clippy (the
+# Full local gate: rustfmt, release build, test suite, lint-clean clippy (the
 # determinism bans in clippy.toml, the lib-root panic denies and the
-# workspace unsafe-hygiene lint; tests/alloc_free.rs audits the hot paths).
+# workspace unsafe-hygiene lint; tests/alloc_free.rs audits the hot paths)
+# and warning-free rustdoc.
 # Run from anywhere; operates on the repository that contains this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -62,5 +63,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo clippy on the feature-gated library code (sanitize)"
 cargo clippy -p overrun-linalg -p overrun-jsr -p overrun-control -p overrun-rtsim --lib \
   --features overrun-linalg/sanitize -- -D warnings
+
+echo "==> rustdoc: every doc link resolves to a public item (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "All checks passed."
