@@ -18,7 +18,8 @@
 //! interval gets one evaluator: it discretises the plant and builds
 //! `Ω(h)` once, then scores a gain pair by rewriting the one gain-dependent
 //! row of `Ω(h)` before its eigen-solve, and by running the nominal step
-//! response on flat slices with the plant state in local arrays. The
+//! response on flat slices, with the plant state in two arrays for a
+//! 2-state plant and in one buffer the evaluator owns otherwise. The
 //! margin scan keeps the radii of its 256 grid points, and the tuning scan
 //! of the same interval reads them, so it solves no eigenproblem of its own.
 //! Every sum keeps the accumulation order of [`Matrix::matmul`], so the
@@ -90,10 +91,9 @@ fn dot(a: &[f64], x: &[f64]) -> f64 {
 }
 
 /// The two tuning objectives of one `(plant, h)` pair. The plant is
-/// discretised and `Ω(h)` built once, and an evaluation of a plant with up
-/// to four states allocates nothing. A larger plant's step response takes
-/// one heap buffer, and above nine states (a lift beyond 12 × 12) so does
-/// the eigen-solve.
+/// discretised and `Ω(h)` built once, and an evaluation allocates nothing
+/// up to nine plant states; above that (a lift beyond 12 × 12) the
+/// eigen-solve takes one heap workspace per call.
 struct Evaluator {
     d: DiscreteSs,
     /// `Ω(h)` of the last gains passed to [`Evaluator::rho`].
@@ -104,6 +104,9 @@ struct Evaluator {
     /// `ρ(Ω(h))` at every point of the signed gain grid, in scan order, once
     /// the margin scan has run; the tuning scan at the same `h` reads them.
     grid_rho: Option<[f64; GRID_POINTS]>,
+    /// The plant states `x` and `x_next` of [`Evaluator::step_cost`], one
+    /// after the other, for plants of other than two states (empty for two).
+    state: Vec<f64>,
 }
 
 impl Evaluator {
@@ -118,12 +121,15 @@ impl Evaluator {
         let mut neg_cm_phi = d.c.matmul(&d.phi)?;
         neg_cm_phi.scale_in_place(-1.0);
         let neg_cm_gamma = -dot(d.c.as_slice(), d.gamma.as_slice());
+        let n = d.state_dim();
+        let state = if n == 2 { Vec::new() } else { vec![0.0; 2 * n] };
         Ok(Evaluator {
             d,
             omega,
             neg_cm_phi,
             neg_cm_gamma,
             grid_rho: None,
+            state,
         })
     }
 
@@ -156,62 +162,59 @@ impl Evaluator {
     /// constant interval `h`: the step-response integral square error over
     /// `steps` jobs plus a terminal penalty weighting the residual
     /// steady-state error, and `∞` once the plant state leaves `±1e9`.
-    fn step_cost(&self, kp: f64, ki: f64, steps: usize) -> f64 {
-        match self.d.state_dim() {
-            1 => self.step_cost_in(kp, ki, steps, [0.0; 1], [0.0; 1]),
-            2 => self.step_cost_in(kp, ki, steps, [0.0; 2], [0.0; 2]),
-            3 => self.step_cost_in(kp, ki, steps, [0.0; 3], [0.0; 3]),
-            4 => self.step_cost_in(kp, ki, steps, [0.0; 4], [0.0; 4]),
-            n => {
-                let mut state = vec![0.0; 2 * n];
-                let (x, x_next) = state.split_at_mut(n);
-                self.step_cost_in(kp, ki, steps, x, x_next)
-            }
+    ///
+    /// The 2-state plant that every PI workload tunes keeps its state in
+    /// two arrays; any other plant in the halves of [`Evaluator::state`].
+    fn step_cost(&mut self, kp: f64, ki: f64, steps: usize) -> f64 {
+        let n = self.d.state_dim();
+        if n == 2 {
+            return step_cost_in(&self.d, kp, ki, steps, [0.0; 2], [0.0; 2]);
         }
+        self.state.fill(0.0);
+        let (x, x_next) = self.state.split_at_mut(n);
+        step_cost_in(&self.d, kp, ki, steps, x, x_next)
     }
+}
 
-    /// [`Evaluator::step_cost`] from the zeroed plant states `x` and
-    /// `x_next`, which it swaps every job. Plants of up to four states pass
-    /// arrays, whose length the compiler knows, so the state stays in
-    /// registers; larger ones pass the halves of one heap buffer.
-    fn step_cost_in<S: AsRef<[f64]> + AsMut<[f64]>>(
-        &self,
-        kp: f64,
-        ki: f64,
-        steps: usize,
-        mut x: S,
-        mut x_next: S,
-    ) -> f64 {
-        let phi = self.d.phi.as_slice();
-        let gamma = self.d.gamma.as_slice();
-        let c = self.d.c.as_slice();
-        let (n, h) = (x.as_ref().len(), self.d.h);
-        let (mut z, mut u_applied) = (0.0, 0.0);
-        let mut cost = 0.0;
-        let mut e = 0.0;
-        for _ in 0..steps {
-            e = 1.0 - dot(c, x.as_ref());
-            // `ControllerMode::step` term for term, with `Ac = 1`, `Bc = h`,
-            // `Cc = ki` and `Dc = kp`.
-            let u_new = dot(&[ki], &[z]) + dot(&[kp], &[e]);
-            z = dot(&[1.0], &[z]) + dot(&[h], &[e]);
-            cost += e * e;
-            let rows = phi.chunks_exact(n).zip(gamma);
-            for (x_i, (phi_i, gamma_i)) in x_next.as_mut().iter_mut().zip(rows) {
-                *x_i = dot(phi_i, x.as_ref()) + dot(&[*gamma_i], &[u_applied]);
-            }
-            // The command computed by job k applies from the next release on.
-            u_applied = u_new;
-            if !x_next.as_ref().iter().all(|v| v.abs() <= 1e9) {
-                return f64::INFINITY;
-            }
-            std::mem::swap(&mut x, &mut x_next);
+/// [`Evaluator::step_cost`] of the discretised plant `d` from the zeroed
+/// plant states `x` and `x_next`, which it swaps every job.
+fn step_cost_in<S: AsRef<[f64]> + AsMut<[f64]>>(
+    d: &DiscreteSs,
+    kp: f64,
+    ki: f64,
+    steps: usize,
+    mut x: S,
+    mut x_next: S,
+) -> f64 {
+    let phi = d.phi.as_slice();
+    let gamma = d.gamma.as_slice();
+    let c = d.c.as_slice();
+    let (n, h) = (x.as_ref().len(), d.h);
+    let (mut z, mut u_applied) = (0.0, 0.0);
+    let mut cost = 0.0;
+    let mut e = 0.0;
+    for _ in 0..steps {
+        e = 1.0 - dot(c, x.as_ref());
+        // `ControllerMode::step` term for term, with `Ac = 1`, `Bc = h`,
+        // `Cc = ki` and `Dc = kp`.
+        let u_new = dot(&[ki], &[z]) + dot(&[kp], &[e]);
+        z = dot(&[1.0], &[z]) + dot(&[h], &[e]);
+        cost += e * e;
+        let rows = phi.chunks_exact(n).zip(gamma);
+        for (x_i, (phi_i, gamma_i)) in x_next.as_mut().iter_mut().zip(rows) {
+            *x_i = dot(phi_i, x.as_ref()) + dot(&[*gamma_i], &[u_applied]);
         }
-        // Terminal penalty: an O(steps) weight on the residual error makes a
-        // biased proportional-only solution (which minimises the short-window
-        // ISE) lose against true integral action.
-        cost + steps as f64 * e * e
+        // The command computed by job k applies from the next release on.
+        u_applied = u_new;
+        if !x_next.as_ref().iter().all(|v| v.abs() <= 1e9) {
+            return f64::INFINITY;
+        }
+        std::mem::swap(&mut x, &mut x_next);
     }
+    // Terminal penalty: an O(steps) weight on the residual error makes a
+    // biased proportional-only solution (which minimises the short-window
+    // ISE) lose against true integral action.
+    cost + steps as f64 * e * e
 }
 
 /// Signed log-grid of candidate gain magnitudes shared by both tuning
@@ -448,10 +451,11 @@ mod tests {
                 gains.extend([(p, i), (-p, i), (p, -i), (-p, -i)]);
             }
         }
-        // A 1-state plant, so `Φ·x` takes the 1 × 1 `small` kernel, a
-        // 3-state one, whose sums of three or more terms depend on order,
-        // and a 10-state lag chain: above the state arrays of `step_cost`,
-        // with a 13 × 13 lift on the heap path of the eigen-solve.
+        // Two 2-state plants on the state arrays of `step_cost`; a 1-state
+        // plant, so `Φ·x` takes the 1 × 1 `small` kernel, a 3-state one,
+        // whose sums of three or more terms depend on order, and a 10-state
+        // lag chain, with a 13 × 13 lift on the heap path of the
+        // eigen-solve, all three on the evaluator's state buffer.
         let first_order = ContinuousSs::new(
             Matrix::from_rows(&[&[0.8]]).unwrap(),
             Matrix::col_vec(&[2.0]),

@@ -166,21 +166,23 @@ fn with_eigenvalues<R>(a: &Matrix, f: impl FnOnce(&[Eigenvalue]) -> R) -> Result
     if n <= STACK_DIM {
         let mut ws = [0.0; workspace_len(STACK_DIM)];
         let mut eig = [Eigenvalue::default(); STACK_DIM];
-        solve(a.as_slice(), n, &mut ws, &mut eig[..n])?;
+        solve(a, &mut ws, &mut eig[..n])?;
         Ok(f(&eig[..n]))
     } else {
         let mut ws = vec![0.0; workspace_len(n)];
         let mut eig = vec![Eigenvalue::default(); n];
-        solve(a.as_slice(), n, &mut ws, &mut eig)?;
+        solve(a, &mut ws, &mut eig)?;
         Ok(f(&eig))
     }
 }
 
-/// Writes the eigenvalues of the finite row-major `n × n` matrix `a` to
-/// `eig` (length `n`), using `ws` (length ≥ `workspace_len(n)`).
-fn solve(a: &[f64], n: usize, ws: &mut [f64], eig: &mut [Eigenvalue]) -> Result<()> {
+/// Writes the eigenvalues of the finite square `n × n` matrix `a` to `eig`
+/// (length `n`), using `ws` (length ≥ `workspace_len(n)`).
+fn solve(a: &Matrix, ws: &mut [f64], eig: &mut [Eigenvalue]) -> Result<()> {
+    let n = a.rows();
+    let entries = a.as_slice();
     if n == 1 {
-        eig[0] = Eigenvalue::new(a[0], 0.0);
+        eig[0] = Eigenvalue::new(entries[0], 0.0);
         return Ok(());
     }
     let (m, rest) = ws.split_at_mut(n * n);
@@ -190,7 +192,7 @@ fn solve(a: &[f64], n: usize, ws: &mut [f64], eig: &mut [Eigenvalue]) -> Result<
         hessenberg_in_place(m, n, v);
         hqr(m, n, eig)
     };
-    m.copy_from_slice(a);
+    m.copy_from_slice(entries);
     if run(m, eig).is_ok() {
         return Ok(());
     }
@@ -199,16 +201,20 @@ fn solve(a: &[f64], n: usize, ws: &mut [f64], eig: &mut [Eigenvalue]) -> Result<
     // `A + εI` are exactly those of `A` shifted by `ε`.
     for i in 0..n {
         for j in 0..n {
-            m[j * n + i] = a[i * n + j];
+            m[j * n + i] = entries[i * n + j];
         }
     }
     let Err(first) = run(m, eig) else {
         return Ok(());
     };
-    let scale = a.iter().fold(0.0_f64, |s, &x| s.max(x.abs())).max(1.0);
+    let scale = a.max_abs().max(1.0);
     for exp in [-12, -10, -8, -6] {
         let eps = scale * 10.0_f64.powi(exp);
-        for (i, (row, a_row)) in m.chunks_exact_mut(n).zip(a.chunks_exact(n)).enumerate() {
+        for (i, (row, a_row)) in m
+            .chunks_exact_mut(n)
+            .zip(entries.chunks_exact(n))
+            .enumerate()
+        {
             for (j, (m_ij, &a_ij)) in row.iter_mut().zip(a_row).enumerate() {
                 // `A + ε·I` entry by entry, `+ 0.0` off the diagonal included.
                 *m_ij = a_ij + if i == j { eps } else { 0.0 };

@@ -354,38 +354,53 @@ fn assert_search_allocations(set: &MatrixSet) -> ScreenStats {
 
 /// PI tuning allocates for its set-up and for Nelder–Mead's short vectors
 /// only: no objective evaluation allocates, neither the eigen-solve of
-/// `ρ(Ω(h))` nor the 400-job step response.
+/// `ρ(Ω(h))` nor the 400-job step response. Checked on the 2-state plant
+/// of every PI workload, whose step response keeps its state in arrays,
+/// and on a 3-state plant, whose step response reuses the evaluator's
+/// state buffer.
 #[test]
 fn pi_tuning_allocates_only_for_set_up_and_nelder_mead() {
     let _serial = serial();
-    let plant = plants::unstable_second_order();
-    let h = 0.010;
+    let third_order = ContinuousSs::new(
+        Matrix::from_rows(&[&[-1.0, 1.0, 0.0], &[0.0, -2.0, 1.0], &[0.3, 0.0, -3.0]]).unwrap(),
+        Matrix::col_vec(&[0.0, 0.0, 1.0]),
+        Matrix::row_vec(&[1.0, 0.5, 0.25]),
+    )
+    .unwrap();
+    for (plant, h) in [
+        (plants::unstable_second_order(), 0.010),
+        (third_order, 0.05),
+    ] {
+        let n = plant.state_dim();
 
-    // Objective evaluations: each phase scans the 256-point signed gain
-    // grid, then runs Nelder–Mead, whose evaluation counts the trace holds.
-    assert!(overrun_trace::install(NoopClock), "no sink is active");
-    let traced = pi::tune_for_interval(&plant, h).unwrap();
-    let totals = overrun_trace::finish().unwrap().counter_totals();
-    let nm_evals = totals["pi.margin_evals"] + totals["pi.nm_evals"];
+        // Objective evaluations: each phase scans the 256-point signed gain
+        // grid, then runs Nelder–Mead, whose evaluation counts the trace
+        // holds.
+        assert!(overrun_trace::install(NoopClock), "no sink is active");
+        let traced = pi::tune_for_interval(&plant, h).unwrap();
+        let totals = overrun_trace::finish().unwrap().counter_totals();
+        let nm_evals = totals["pi.margin_evals"] + totals["pi.nm_evals"];
 
-    let (count, gains) = allocations(|| pi::tune_for_interval(&plant, h).unwrap());
-    assert_eq!(gains, traced, "tracing changed the tuned gains");
+        let (count, gains) = allocations(|| pi::tune_for_interval(&plant, h).unwrap());
+        assert_eq!(gains, traced, "n = {n}: tracing changed the tuned gains");
 
-    // Set-up: one discretisation and lift, plus `−C·Φ`. The margin scan's
-    // radii live inline in the evaluator.
-    let lift = allocations(|| {
-        let mode = pi::mode_for_gains(1.0, 1.0, h).unwrap();
-        black_box(lifted::build_omega(&plant, &mode, h, &plant.c).unwrap())
-    })
-    .0;
-    let setup = lift + 1;
-    // Nelder–Mead: per evaluation at most a centroid, a copy of the worst
-    // vertex and the trial point; per run a three-vertex simplex.
-    let simplex = 3 * nm_evals + 2 * 4;
-    let allowed = simplex + setup;
-    assert!(
-        count <= allowed,
-        "{count} allocations > {allowed} allowed ({nm_evals} Nelder–Mead \
-         evaluations, {setup} set-up)"
-    );
+        // Set-up: one discretisation and lift, plus `−C·Φ`, plus the state
+        // buffer of a plant of other than two states. The margin scan's
+        // radii live inline in the evaluator.
+        let lift = allocations(|| {
+            let mode = pi::mode_for_gains(1.0, 1.0, h).unwrap();
+            black_box(lifted::build_omega(&plant, &mode, h, &plant.c).unwrap())
+        })
+        .0;
+        let setup = lift + 1 + u64::from(n != 2);
+        // Nelder–Mead: per evaluation at most a centroid, a copy of the
+        // worst vertex and the trial point; per run a three-vertex simplex.
+        let simplex = 3 * nm_evals + 2 * 4;
+        let allowed = simplex + setup;
+        assert!(
+            count <= allowed,
+            "n = {n}: {count} allocations > {allowed} allowed ({nm_evals} \
+             Nelder–Mead evaluations, {setup} set-up)"
+        );
+    }
 }
