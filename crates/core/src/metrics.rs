@@ -42,7 +42,6 @@
 //! three designs per row on one ensemble.
 
 use overrun_par::{derive_seed, try_parallel_map};
-use overrun_rtsim::{ResponseTimeModel, SequenceGenerator, Span};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
@@ -356,7 +355,8 @@ impl Ensemble {
     /// Draws `opts.num_sequences` sequences of `opts.jobs_per_sequence`
     /// modes on `hset`. Sequence `i` draws from its own generator, seeded
     /// with `derive_seed(opts.seed, i)`, so the streams do not depend on
-    /// how the draw is scheduled across threads.
+    /// how the draw is scheduled across threads. The sequences are drawn
+    /// in chunks of 64 in parallel, then sorted (see the module docs).
     ///
     /// # Errors
     ///
@@ -364,23 +364,6 @@ impl Ensemble {
     /// `rmin_fraction` outside `[0, 1]` or more than 256 intervals.
     pub fn draw(hset: &IntervalSet, opts: &WorstCaseOptions) -> Result<Ensemble> {
         let sampler = ModeSampler::new(hset, opts.rmin_fraction)?;
-        Self::build(hset, opts, |i, modes| {
-            let mut rng = SmallRng::seed_from_u64(derive_seed(opts.seed, i as u64));
-            for m in modes {
-                // `build` admits at most 256 intervals.
-                *m = sampler.draw(&mut rng)? as u8;
-            }
-            Ok(())
-        })
-    }
-
-    /// Draws the ensemble with `fill(i, modes)` writing sequence `i`, in
-    /// chunks of [`ENSEMBLE_CHUNK`] sequences drawn in parallel, and sorts
-    /// it.
-    fn build<F>(hset: &IntervalSet, opts: &WorstCaseOptions, fill: F) -> Result<Ensemble>
-    where
-        F: Fn(usize, &mut [u8]) -> Result<()> + Sync,
-    {
         let (n, jobs) = (opts.num_sequences, opts.jobs_per_sequence);
         if n == 0 || jobs == 0 {
             return Err(Error::InvalidConfig(
@@ -413,7 +396,11 @@ impl Ensemble {
             let mut modes = vec![0; (hi - lo) * jobs];
             let mut keys = Vec::with_capacity(hi - lo);
             for (i, seq) in (lo..hi).zip(modes.chunks_exact_mut(jobs)) {
-                fill(i, seq)?;
+                let mut rng = SmallRng::seed_from_u64(derive_seed(opts.seed, i as u64));
+                for m in seq.iter_mut() {
+                    // At most 256 intervals, checked above.
+                    *m = sampler.draw(&mut rng)? as u8;
+                }
                 let key = seq[..depth]
                     .iter()
                     .fold(0, |key, &m| (key << bits) | u64::from(m));
@@ -568,73 +555,6 @@ fn fold(summaries: &[CostSummary], jobs: usize) -> WorstCaseReport {
         diverged: total.diverged,
         sequences: summaries.len(),
     }
-}
-
-/// Evaluates the worst-case cost over sequences drawn from an explicit
-/// [`ResponseTimeModel`] (e.g. the bursty Markov model) instead of the
-/// default uniform law — overruns may then cluster, which is the regime
-/// where delay compensation matters most.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidConfig`] for zero-sized ensembles, more than 256
-/// intervals or a model whose `Rmax` exceeds the design `Rmax` of the
-/// simulator's interval set, and propagates simulation failures.
-///
-/// # Example
-///
-/// ```
-/// use overrun_control::prelude::*;
-/// use overrun_control::metrics::{evaluate_worst_case_with_model, WorstCaseOptions};
-/// use overrun_control::sim::{ClosedLoopSim, SimScenario};
-/// use overrun_linalg::Matrix;
-/// use overrun_rtsim::{ResponseTimeModel, Span};
-///
-/// # fn main() -> Result<(), overrun_control::Error> {
-/// let plant = plants::unstable_second_order();
-/// let hset = IntervalSet::from_timing(0.010, 0.013, 2)?;
-/// let table = pi::design_adaptive(&plant, &hset)?;
-/// let sim = ClosedLoopSim::new(&plant, &table)?;
-/// let scenario = SimScenario::step(2, Matrix::col_vec(&[1.0]));
-/// let bursty = ResponseTimeModel::Markov {
-///     min: Span::from_millis(1),
-///     period: Span::from_millis(10),
-///     max: Span::from_millis(13),
-///     enter_prob: 0.05,
-///     leave_prob: 0.4,
-/// };
-/// let report = evaluate_worst_case_with_model(&sim, &scenario, &bursty,
-///     &WorstCaseOptions { num_sequences: 50, ..Default::default() })?;
-/// assert!(report.all_stable());
-/// # Ok(())
-/// # }
-/// ```
-pub fn evaluate_worst_case_with_model(
-    sim: &ClosedLoopSim,
-    scenario: &SimScenario,
-    model: &ResponseTimeModel,
-    opts: &WorstCaseOptions,
-) -> Result<WorstCaseReport> {
-    let hset = sim.table().hset();
-    if model.rmax() > Span::from_secs_f64(hset.rmax()) + Span::from_nanos(1) {
-        return Err(Error::InvalidConfig(format!(
-            "workload Rmax {} exceeds the design Rmax {:.6} s",
-            model.rmax(),
-            hset.rmax()
-        )));
-    }
-    let ensemble = Ensemble::build(hset, opts, |i, modes| {
-        // Independent sequences: one generator per sequence, seeded
-        // deterministically.
-        let mut gen = SequenceGenerator::new(model.clone(), opts.seed.wrapping_add(i as u64))?;
-        let responses = gen.sequence(modes.len());
-        for (m, r) in modes.iter_mut().zip(responses) {
-            // `build` admits at most 256 intervals.
-            *m = hset.mode_for_response(r.as_secs_f64().min(hset.rmax()))? as u8;
-        }
-        Ok(())
-    })?;
-    ensemble.evaluate(sim, scenario)
 }
 
 /// Exhaustively evaluates **all** `#H^m` mode sequences of length `m` and
@@ -986,83 +906,6 @@ mod sampler_tests {
             let hset = IntervalSet::from_timing(t, factor * t, ns).unwrap();
             check_sampler(&hset, rmin_fraction, 2_000, 64);
         }
-    }
-}
-
-#[cfg(test)]
-mod model_tests {
-    use super::test_fixtures::{scenario, sim};
-    use super::*;
-
-    fn bursty(max_ms: u64) -> ResponseTimeModel {
-        ResponseTimeModel::Markov {
-            min: Span::from_millis(1),
-            period: Span::from_millis(10),
-            max: Span::from_millis(max_ms),
-            enter_prob: 0.05,
-            leave_prob: 0.4,
-        }
-    }
-
-    #[test]
-    fn bursty_workload_stays_stable() {
-        let report = evaluate_worst_case_with_model(
-            &sim(),
-            &scenario(),
-            &bursty(13),
-            &WorstCaseOptions {
-                num_sequences: 100,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(report.all_stable());
-        assert!(report.worst_cost.is_finite());
-        assert!(report.worst_cost >= report.mean_cost);
-    }
-
-    #[test]
-    fn workload_beyond_design_rmax_rejected() {
-        let res = evaluate_worst_case_with_model(
-            &sim(),
-            &scenario(),
-            &bursty(20), // design Rmax is 13 ms
-            &WorstCaseOptions::default(),
-        );
-        assert!(res.is_err());
-    }
-
-    #[test]
-    fn deterministic_per_seed() {
-        let opts = WorstCaseOptions {
-            num_sequences: 20,
-            seed: 3,
-            ..Default::default()
-        };
-        let a = evaluate_worst_case_with_model(&sim(), &scenario(), &bursty(13), &opts).unwrap();
-        let b = evaluate_worst_case_with_model(&sim(), &scenario(), &bursty(13), &opts).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sporadic_model_also_supported() {
-        let model = ResponseTimeModel::Sporadic {
-            min: Span::from_millis(1),
-            period: Span::from_millis(10),
-            max: Span::from_millis(13),
-            overrun_prob: 0.15,
-        };
-        let report = evaluate_worst_case_with_model(
-            &sim(),
-            &scenario(),
-            &model,
-            &WorstCaseOptions {
-                num_sequences: 50,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(report.all_stable());
     }
 }
 

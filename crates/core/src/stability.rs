@@ -1,9 +1,8 @@
 //! Joint-spectral-radius stability certification (paper Sec. V-A).
 
 use overrun_jsr::{
-    bruteforce_bounds, constrained_bounds, refined_bounds_with_stats, BruteforceOptions,
-    ConstrainedOptions, GripenbergOptions, JsrBounds, MatrixSet, RefineOptions, ScreenStats,
-    StabilityVerdict,
+    bruteforce_bounds, refined_bounds_with_stats, BruteforceOptions, GripenbergOptions, JsrBounds,
+    MatrixSet, RefineOptions, ScreenStats, StabilityVerdict,
 };
 
 use crate::{lifted, ContinuousSs, ControllerTable, Result};
@@ -41,8 +40,7 @@ pub struct StabilityReport {
     pub bounds: JsrBounds,
     /// Stable / unstable / undecided within budget.
     pub verdict: StabilityVerdict,
-    /// Norm-screening statistics of the underlying product-tree searches
-    /// (all zeros for certification paths that do not screen).
+    /// Norm-screening statistics of the underlying product-tree searches.
     pub screen: ScreenStats,
 }
 
@@ -119,55 +117,6 @@ pub fn certify(
         bounds,
         verdict,
         screen,
-    })
-}
-
-/// Certifies stability under a *constrained* switching language: only mode
-/// successions with `allowed(prev, next) == true` may occur (e.g. a
-/// weakly-hard "no two consecutive overruns" contract, with mode 0 the
-/// nominal interval). The constrained JSR never exceeds the arbitrary-
-/// switching one, so designs that fail [`certify`] may still pass here.
-///
-/// # Errors
-///
-/// Propagates lifting and JSR computation failures.
-///
-/// # Example
-///
-/// ```
-/// use overrun_control::prelude::*;
-///
-/// # fn main() -> Result<(), overrun_control::Error> {
-/// let plant = plants::unstable_second_order();
-/// let hset = IntervalSet::from_timing(0.010, 0.013, 2)?;
-/// let table = pi::design_adaptive(&plant, &hset)?;
-/// // Overruns (mode > 0) never back to back:
-/// let report = stability::certify_constrained(
-///     &plant, &table, &|prev, next| !(prev > 0 && next > 0), 12)?;
-/// assert!(!report.bounds.certifies_unstable());
-/// # Ok(())
-/// # }
-/// ```
-pub fn certify_constrained(
-    plant: &ContinuousSs,
-    table: &ControllerTable,
-    allowed: &(dyn Fn(usize, usize) -> bool + '_),
-    max_depth: usize,
-) -> Result<StabilityReport> {
-    let set = lifted_set(plant, table)?;
-    let bounds = constrained_bounds(
-        &set,
-        allowed,
-        &ConstrainedOptions {
-            max_depth,
-            ..Default::default()
-        },
-    )?;
-    let verdict = verdict_from(&bounds);
-    Ok(StabilityReport {
-        bounds,
-        verdict,
-        screen: ScreenStats::default(),
     })
 }
 

@@ -43,7 +43,6 @@
 )]
 
 mod bruteforce;
-mod constrained;
 mod deflate;
 pub mod ellipsoid;
 mod error;
@@ -54,7 +53,6 @@ mod screen;
 mod set;
 
 pub use bruteforce::{bruteforce_bounds, bruteforce_bounds_with_stats, BruteforceOptions};
-pub use constrained::{constrained_bounds, ConstrainedOptions, TransitionPredicate};
 pub use deflate::{deflate, repeated_rows};
 pub use ellipsoid::{optimize_ellipsoid, Ellipsoid, EllipsoidOptions};
 pub use error::Error;

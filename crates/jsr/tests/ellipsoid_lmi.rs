@@ -5,8 +5,11 @@
 //! The contract pinned here: the reported bound is the exact
 //! `max ‖L Aᵢ L⁻¹‖₂` of the returned transform, it reaches the optimum
 //! where the optimum is known in closed form, it never loses to the
-//! identity or to a derivative-free search over the same objective, and
-//! degenerate inputs give a finite bound or an error, never a panic.
+//! identity or to a derivative-free search over the same objective,
+//! degenerate inputs give a finite bound or an error, never a panic, and
+//! the optimised ellipsoid induces a genuine norm (positive, homogeneous,
+//! subadditive) in which the bound dominates every member — otherwise its
+//! "upper bound" would certify nothing.
 
 use overrun_jsr::{
     bruteforce_bounds, optimize_ellipsoid, BruteforceOptions, Ellipsoid, EllipsoidOptions, Error,
@@ -152,6 +155,35 @@ fn repeated_runs_are_bit_identical() -> TestResult {
     assert_eq!(a.l, b.l);
     assert_eq!(a.l_inv, b.l_inv);
     Ok(())
+}
+
+/// For a diagonal singleton the 2-norm is already optimal: the search must
+/// return (essentially) the spectral radius, not something looser.
+#[test]
+fn ellipsoid_known_answer_diagonal() {
+    let a = Matrix::diag(&[0.5, 0.25]);
+    let set = MatrixSet::new(vec![a]).unwrap();
+    let e = optimize_ellipsoid(&set, &EllipsoidOptions::default()).unwrap();
+    assert!(
+        (e.norm_bound - 0.5).abs() < 1e-6,
+        "bound = {}",
+        e.norm_bound
+    );
+}
+
+/// A scaled rotation has `ρ = 0.9 = ‖A‖₂`; no ellipsoid can do better, and
+/// the optimiser must not do worse.
+#[test]
+fn ellipsoid_known_answer_scaled_rotation() {
+    let (c, s) = (0.6_f64, 0.8_f64); // cos/sin of a rational angle
+    let a = Matrix::from_rows(&[&[0.9 * c, 0.9 * s], &[-0.9 * s, 0.9 * c]]).unwrap();
+    let set = MatrixSet::new(vec![a]).unwrap();
+    let e = optimize_ellipsoid(&set, &EllipsoidOptions::default()).unwrap();
+    assert!(
+        (e.norm_bound - 0.9).abs() < 1e-6,
+        "bound = {}",
+        e.norm_bound
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -324,5 +356,82 @@ proptest! {
         prop_assert!(e.norm_bound <= nm * (1.0 + 1e-9),
             "LMI {} > Nelder–Mead {nm}", e.norm_bound);
         prop_assert!(e.norm_bound <= identity_bound(&set));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The optimised ellipsoid is a norm that bounds every member
+// ---------------------------------------------------------------------------
+
+fn matrix(n: usize, mag: f64) -> impl Strategy<Value = Matrix> {
+    prop::collection::vec(-mag..mag, n * n)
+        .prop_map(move |v| Matrix::from_vec(n, n, v).expect("sized buffer"))
+}
+
+fn vector(n: usize) -> impl Strategy<Value = Matrix> {
+    prop::collection::vec(-2.0..2.0f64, n).prop_map(|v| Matrix::col_vec(&v))
+}
+
+/// `‖x‖_P = ‖L x‖₂` for the optimised ellipsoid.
+fn p_norm(l: &Matrix, x: &Matrix) -> f64 {
+    norm_2(&l.matmul(x).expect("dims"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The optimised ellipsoid induces a genuine vector norm: positive on
+    /// non-zero vectors, absolutely homogeneous, and subadditive.
+    #[test]
+    fn ellipsoid_norm_is_a_norm(
+        a in matrix(2, 1.0),
+        b in matrix(2, 1.0),
+        x in vector(2),
+        y in vector(2),
+        c in -3.0..3.0f64,
+    ) {
+        let set = MatrixSet::new(vec![a, b]).unwrap();
+        let e = optimize_ellipsoid(&set, &EllipsoidOptions {
+            max_newton_steps: 20, // small budget: the properties hold for any L
+        }).unwrap();
+
+        let nx = p_norm(&e.l, &x);
+        let ny = p_norm(&e.l, &y);
+        // Positive definiteness (L is invertible by construction).
+        if norm_2(&x) > 1e-9 {
+            prop_assert!(nx > 0.0, "‖x‖_P = {nx} for x ≠ 0");
+        }
+        // Absolute homogeneity.
+        let ncx = p_norm(&e.l, &x.scale(c));
+        prop_assert!((ncx - c.abs() * nx).abs() <= 1e-9 * (1.0 + ncx),
+            "‖c·x‖_P = {ncx} vs |c|·‖x‖_P = {}", c.abs() * nx);
+        // Triangle inequality.
+        let nxy = p_norm(&e.l, &x.add_mat(&y).unwrap());
+        prop_assert!(nxy <= nx + ny + 1e-9 * (1.0 + nx + ny),
+            "‖x+y‖_P = {nxy} > {nx} + {ny}");
+    }
+
+    /// The ellipsoid's reported bound really is the induced-norm maximum:
+    /// for every member, `‖A x‖_P ≤ norm_bound · ‖x‖_P`, hence also
+    /// `ρ(Aᵢ) ≤ norm_bound`.
+    #[test]
+    fn ellipsoid_bound_dominates_members(
+        a in matrix(2, 1.0),
+        b in matrix(2, 1.0),
+        x in vector(2),
+    ) {
+        let set = MatrixSet::new(vec![a, b]).unwrap();
+        let e = optimize_ellipsoid(&set, &EllipsoidOptions {
+            max_newton_steps: 20,
+        }).unwrap();
+        for m in set.iter() {
+            let rho = spectral_radius(m).unwrap();
+            prop_assert!(rho <= e.norm_bound + 1e-7 * (1.0 + rho),
+                "ρ = {rho} > bound = {}", e.norm_bound);
+            let nx = p_norm(&e.l, &x);
+            let nax = p_norm(&e.l, &m.matmul(&x).unwrap());
+            prop_assert!(nax <= e.norm_bound * nx + 1e-7 * (1.0 + nax),
+                "‖Ax‖_P = {nax} > bound · ‖x‖_P = {}", e.norm_bound * nx);
+        }
     }
 }

@@ -90,31 +90,3 @@ proptest! {
         prop_assert!(deep.lower >= shallow.lower - 1e-9);
     }
 }
-
-mod constrained_properties {
-    use super::*;
-    use overrun_jsr::{constrained_bounds, ConstrainedOptions};
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-
-        /// The constrained radius never exceeds the unconstrained one, for
-        /// any pairwise restriction.
-        #[test]
-        fn constrained_below_unconstrained((a, b) in matrix_pair(2), forbid in 0usize..4) {
-            let set = MatrixSet::new(vec![a, b]).unwrap();
-            let (fp, fn_) = (forbid / 2, forbid % 2);
-            let allowed = move |p: usize, n: usize| !(p == fp && n == fn_);
-            let free = bruteforce_bounds(&set, &BruteforceOptions { max_depth: 8, ..Default::default() }).unwrap();
-            let con = constrained_bounds(&set, &allowed, &ConstrainedOptions {
-                max_depth: 8,
-                ..Default::default()
-            });
-            // Some restrictions kill all transitions from a letter, but the
-            // language stays non-empty for pairwise single-pair removals.
-            let con = con.unwrap();
-            prop_assert!(con.lower <= free.upper + 1e-6,
-                "constrained lower {} above unconstrained upper {}", con.lower, free.upper);
-        }
-    }
-}

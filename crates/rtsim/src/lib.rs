@@ -6,11 +6,7 @@
 //! * the continuous-stream-inspired release policy ([`OverrunPolicy`])
 //!   producing per-job intervals `h_k = T + Δ_k ∈ H` (Eq. 3), with the
 //!   Sec. V-B deployment check `H̃ ⊆ H`
-//!   ([`OverrunPolicy::deployment_compatible`]),
-//! * seeded response-time sequence generators ([`SequenceGenerator`],
-//!   [`ResponseTimeModel`] — uniform, sporadic-overrun and bursty Markov
-//!   laws bounded by `Rmax`),
-//! * weakly-hard `(m, K)` overrun contracts ([`WeaklyHard`]), and
+//!   ([`OverrunPolicy::deployment_compatible`]), and
 //! * timeline rendering ([`render_timeline`]) reproducing Figure 1.
 //!
 //! # Example
@@ -37,17 +33,13 @@
 
 mod error;
 mod overrun;
-mod sequence;
 mod time;
 mod trace;
-pub mod weakly_hard;
 
 pub use error::Error;
 pub use overrun::{JobRecord, OverrunPolicy, ReleaseTrace};
-pub use sequence::{ResponseTimeModel, SequenceGenerator};
 pub use time::{Span, Time};
 pub use trace::{render_timeline, trace_to_csv, TimelineOptions};
-pub use weakly_hard::{empirical_contract, max_overruns_in_window, WeaklyHard};
 
 /// Convenience alias for `Result<T, overrun_rtsim::Error>`.
 pub type Result<T> = std::result::Result<T, Error>;

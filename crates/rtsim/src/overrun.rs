@@ -227,11 +227,6 @@ impl ReleaseTrace {
         self.jobs.iter().map(|j| j.interval).collect()
     }
 
-    /// Number of jobs that overran.
-    pub fn overrun_count(&self) -> usize {
-        self.jobs.iter().filter(|j| j.overran).count()
-    }
-
     /// Checks the structural invariants the paper's analysis relies on:
     /// every release lies on the sensor grid, intervals belong to
     /// `{T + i·Ts}`, and releases never precede the previous finish when the
@@ -416,7 +411,8 @@ mod tests {
         assert_eq!(trace.jobs[1].release, Time::from_nanos(8_000_000));
         // a_3 = a_2 + 10 ms = 18 ms
         assert_eq!(trace.jobs[2].release, Time::from_nanos(18_000_000));
-        assert_eq!(trace.overrun_count(), 1);
+        let overran: Vec<bool> = trace.jobs.iter().map(|j| j.overran).collect();
+        assert_eq!(overran, [false, true, false]);
         assert_eq!(trace.intervals()[1], Span::from_millis(10));
     }
 

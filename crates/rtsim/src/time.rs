@@ -34,24 +34,6 @@ impl Time {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 * 1e-9
     }
-
-    /// Span since an earlier instant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `earlier` is after `self` (clock cannot run backwards).
-    pub fn duration_since(self, earlier: Time) -> Span {
-        assert!(
-            earlier.0 <= self.0,
-            "duration_since: {earlier} is after {self}"
-        );
-        Span(self.0 - earlier.0)
-    }
-
-    /// Checked difference, `None` when `earlier` is after `self`.
-    pub fn checked_duration_since(self, earlier: Time) -> Option<Span> {
-        self.0.checked_sub(earlier.0).map(Span)
-    }
 }
 
 impl Span {
@@ -71,11 +53,6 @@ impl Span {
     /// Creates a span from whole milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
         Span(ms * 1_000_000)
-    }
-
-    /// Creates a span from whole seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        Span(s * 1_000_000_000)
     }
 
     /// Creates a span from seconds given as `f64`, rounding to the nearest
@@ -251,7 +228,6 @@ mod tests {
     fn constructors_and_accessors() {
         assert_eq!(Span::from_millis(10).as_nanos(), 10_000_000);
         assert_eq!(Span::from_micros(50).as_nanos(), 50_000);
-        assert_eq!(Span::from_secs(2).as_nanos(), 2_000_000_000);
         assert_eq!(Span::from_secs_f64(0.01).as_nanos(), 10_000_000);
         assert!((Span::from_millis(10).as_secs_f64() - 0.01).abs() < 1e-15);
         assert_eq!(Time::from_nanos(5).as_nanos(), 5);
@@ -268,8 +244,6 @@ mod tests {
         let t = Time::ZERO + Span::from_millis(10);
         assert_eq!(t.as_nanos(), 10_000_000);
         assert_eq!((t - Span::from_millis(4)).as_nanos(), 6_000_000);
-        assert_eq!(t.duration_since(Time::ZERO), Span::from_millis(10));
-        assert_eq!(Time::ZERO.checked_duration_since(t), None);
         assert_eq!(Span::from_millis(3) * 4, Span::from_millis(12));
         assert_eq!(4 * Span::from_millis(3), Span::from_millis(12));
     }
@@ -309,7 +283,7 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        assert_eq!(Span::from_secs(1).to_string(), "1s");
+        assert_eq!(Span::from_millis(1_000).to_string(), "1s");
         assert_eq!(Span::from_millis(10).to_string(), "10ms");
         assert_eq!(Span::from_micros(50).to_string(), "50us");
         assert_eq!(Span::from_nanos(7).to_string(), "7ns");

@@ -1,8 +1,7 @@
-//! Property-based tests for the overrun release policy and the
-//! response-time sequence generators: structural invariants of the
-//! intervals, traces and sequences they produce.
+//! Property-based tests for the overrun release policy: structural
+//! invariants of the intervals and traces it produces.
 
-use overrun_rtsim::{OverrunPolicy, ResponseTimeModel, SequenceGenerator, Span};
+use overrun_rtsim::{OverrunPolicy, Span};
 use proptest::prelude::*;
 
 prop_compose! {
@@ -60,17 +59,6 @@ proptest! {
         // Releases are strictly increasing.
         for w in trace.jobs.windows(2) {
             prop_assert!(w[1].release > w[0].release);
-        }
-    }
-
-    /// Generated response sequences respect their model envelope.
-    #[test]
-    fn sequence_generator_envelope(seed in 0u64..1000, min_us in 100u64..1000, spread_us in 1u64..20_000) {
-        let min = Span::from_micros(min_us);
-        let max = Span::from_micros(min_us + spread_us);
-        let mut g = SequenceGenerator::new(ResponseTimeModel::Uniform { min, max }, seed).unwrap();
-        for r in g.sequence(200) {
-            prop_assert!(r >= min && r <= max);
         }
     }
 }

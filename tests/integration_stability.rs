@@ -51,6 +51,33 @@ fn certificate_agrees_with_simulation_pi() {
     .unwrap();
     assert!(worst.all_stable());
     assert!(worst.worst_cost.is_finite());
+
+    // The certificate covers clustered overruns too: on the 1.6T set,
+    // bursts of the longest interval of 1, 2, 4, …, 64 jobs (one nominal
+    // job between bursts), and the longest interval alone, stay bounded.
+    let hset = IntervalSet::from_timing(0.010, 0.016, 5).unwrap();
+    let table = pi::design_adaptive(&plant, &hset).unwrap();
+    let report = stability::certify(&plant, &table, &CertifyOptions::default()).unwrap();
+    assert_eq!(
+        report.verdict,
+        StabilityVerdict::Stable,
+        "{:?}",
+        report.bounds
+    );
+    let sim = ClosedLoopSim::new(&plant, &table).unwrap();
+    let scenario = SimScenario::step(2, Matrix::col_vec(&[1.0]));
+    let longest = hset.len() - 1;
+    let bursts = (0..=6).map(|p| {
+        let burst = 1 << p;
+        (0..100)
+            .map(|k| if k % (burst + 1) < burst { longest } else { 0 })
+            .collect::<Vec<usize>>()
+    });
+    for modes in bursts.chain([vec![longest; 100]]) {
+        let run = sim.run_cost(&scenario, &modes).unwrap();
+        assert!(!run.diverged, "diverged on {modes:?}");
+        assert!(run.cost.is_finite(), "cost {} on {modes:?}", run.cost);
+    }
 }
 
 #[test]
