@@ -50,9 +50,7 @@ mod error;
 mod hset;
 mod lti;
 
-pub mod analysis;
 pub mod lifted;
-pub mod lqg;
 pub mod lqr;
 pub mod metrics;
 pub mod pi;
@@ -72,7 +70,7 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {
     pub use crate::{
-        analysis, lifted, lqg, lqr, metrics, pi, plants, scenarios, sim, stability, ContinuousSs,
-        ControllerMode, ControllerTable, DiscreteSs, IntervalSet,
+        lifted, lqr, metrics, pi, plants, scenarios, sim, stability, ContinuousSs, ControllerMode,
+        ControllerTable, DiscreteSs, IntervalSet,
     };
 }

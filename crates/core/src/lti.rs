@@ -110,46 +110,6 @@ impl ContinuousSs {
         })
     }
 
-    /// Zero-order-hold discretisation with a *fractional* input delay
-    /// `τ ∈ [0, h)` (Åström–Wittenmark): the command computed for sample
-    /// `k` only takes effect `τ` seconds into the interval, giving
-    ///
-    /// ```text
-    /// x[k+1] = Φ(h) x[k] + Γ₁ u[k−1] + Γ₀ u[k]
-    /// Γ₁ = e^{A(h−τ)} ∫₀^τ e^{As} ds B,   Γ₀ = ∫₀^{h−τ} e^{As} ds B
-    /// ```
-    ///
-    /// The paper's computational model is the special case `τ = h` pushed
-    /// to the *next* interval (`Γ₀ = 0`, handled by the lifted dynamics);
-    /// this method supports the intermediate regimes for extensions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] unless `0 ≤ τ < h`.
-    pub fn discretize_with_delay(&self, h: f64, tau: f64) -> Result<(Matrix, Matrix, Matrix)> {
-        if !(h.is_finite() && h > 0.0) {
-            return Err(Error::InvalidConfig(format!(
-                "sampling interval must be positive and finite, got {h}"
-            )));
-        }
-        if !(tau.is_finite() && (0.0..h).contains(&tau)) {
-            return Err(Error::InvalidConfig(format!(
-                "fractional delay must satisfy 0 <= tau < h, got tau = {tau}, h = {h}"
-            )));
-        }
-        let (phi, gamma_h) = expm_integral(&self.a, &self.b, h)?;
-        if tau == 0.0 {
-            let gamma1 = Matrix::zeros(self.state_dim(), self.input_dim());
-            return Ok((phi, gamma1, gamma_h));
-        }
-        // Γ₀ over the trailing (h − τ) of the interval, and e^{A(h−τ)}.
-        let (phi_tail, gamma0) = expm_integral(&self.a, &self.b, h - tau)?;
-        // Γ₁ = e^{A(h−τ)} · ∫₀^τ e^{As} ds B.
-        let (_, int_tau) = expm_integral(&self.a, &self.b, tau)?;
-        let gamma1 = phi_tail.matmul(&int_tau)?;
-        Ok((phi, gamma1, gamma0))
-    }
-
     /// `true` when `(A, B)` is controllable: the controllability matrix
     /// `𝒞 = [B, AB, …, A^{n−1}B]` has full row rank. The test is a
     /// Cholesky of its Gram matrix `W = 𝒞𝒞ᵀ` shifted by `τ = n·ε·tr(W)`.
@@ -358,66 +318,5 @@ mod tests {
         let d3 = s.discretize(0.010).unwrap();
         let lhs = d2.phi.matmul(&d1.phi).unwrap();
         assert!(lhs.approx_eq(&d3.phi, 1e-12, 1e-12));
-    }
-}
-
-#[cfg(test)]
-mod delay_tests {
-    use super::*;
-
-    fn plant() -> ContinuousSs {
-        ContinuousSs::new(
-            Matrix::from_rows(&[&[0.0, 1.0], &[-3.0, -0.7]]).unwrap(),
-            Matrix::col_vec(&[0.0, 1.0]),
-            Matrix::row_vec(&[1.0, 0.0]),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn zero_delay_reduces_to_plain_zoh() {
-        let p = plant();
-        let d = p.discretize(0.05).unwrap();
-        let (phi, g1, g0) = p.discretize_with_delay(0.05, 0.0).unwrap();
-        assert!(phi.approx_eq(&d.phi, 1e-13, 1e-13));
-        assert_eq!(g1.max_abs(), 0.0);
-        assert!(g0.approx_eq(&d.gamma, 1e-13, 1e-13));
-    }
-
-    #[test]
-    fn gamma_split_sums_to_full_gamma() {
-        // Γ₀ + Γ₁ must equal the full-interval Γ for any τ (same total
-        // input energy, just split across the two commands).
-        let p = plant();
-        let h = 0.04;
-        let full = p.discretize(h).unwrap().gamma;
-        for tau in [0.001, 0.01, 0.02, 0.039] {
-            let (_, g1, g0) = p.discretize_with_delay(h, tau).unwrap();
-            let sum = &g1 + &g0;
-            assert!(
-                sum.approx_eq(&full, 1e-11, 1e-11),
-                "tau = {tau}: split does not sum to Γ"
-            );
-        }
-    }
-
-    #[test]
-    fn near_full_delay_moves_all_input_to_previous_command() {
-        let p = plant();
-        let h = 0.04;
-        let (_, g1, g0) = p.discretize_with_delay(h, h - 1e-9).unwrap();
-        // Almost everything rides on u[k−1].
-        assert!(g0.max_abs() < 1e-6);
-        let full = p.discretize(h).unwrap().gamma;
-        assert!(g1.approx_eq(&full, 1e-6, 1e-6));
-    }
-
-    #[test]
-    fn delay_validation() {
-        let p = plant();
-        assert!(p.discretize_with_delay(0.05, 0.05).is_err()); // τ = h
-        assert!(p.discretize_with_delay(0.05, -0.01).is_err());
-        assert!(p.discretize_with_delay(0.0, 0.0).is_err());
-        assert!(p.discretize_with_delay(0.05, f64::NAN).is_err());
     }
 }

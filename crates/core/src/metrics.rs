@@ -124,7 +124,7 @@ pub fn random_mode_sequence(
 ///
 /// Returns [`Error::InvalidConfig`] for an `rmin_fraction` outside
 /// `[0, 1]` and propagates [`IntervalSet::mode_for_response`] failures.
-pub fn fill_mode_sequence(
+fn fill_mode_sequence(
     hset: &IntervalSet,
     rng: &mut SmallRng,
     rmin_fraction: f64,

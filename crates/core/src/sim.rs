@@ -19,10 +19,9 @@
 //! [`ClosedLoopSim::new`] merges it away ([`overrun_jsr::repeated_rows`],
 //! the row test of the JSR layer's [`overrun_jsr::deflate`]). The delayed
 //! LQR's `z̃` is its `ũ`: the Table II loops step 7 coordinates instead of
-//! 9, and the PMSM LQG, whose state keeps the last command, 10 instead of
-//! 12; PI loops repeat no row. Both merge `ũ` columns, each nonzero only
-//! in a `u` row where it stands alone, so they compute the same costs bit
-//! for bit as the full lift.
+//! 9; PI loops repeat no row. The merge moves `ũ` columns, each nonzero
+//! only in a `u` row where it stands alone, so it computes the same costs
+//! bit for bit as the full lift.
 //!
 //! Lifts up to `D = 12` over up to 8 intervals (every plant, controller
 //! and interval set of the paper and the examples) step with a
@@ -782,7 +781,7 @@ fn error_into(cm: &[f64], reference: &[f64], x: &[f64], e: &mut [f64]) {
 mod tests {
     use super::*;
     use crate::{
-        lqg, lqr, metrics, pi, plants, scenarios, ControllerMode, ControllerTable, IntervalSet,
+        lqr, metrics, pi, plants, scenarios, ControllerMode, ControllerTable, IntervalSet,
     };
 
     fn setup() -> (ContinuousSs, ControllerTable) {
@@ -812,6 +811,25 @@ mod tests {
         let weights = lqr::LqrWeights::identity(8, 2, 0.1);
         let table = lqr::design_adaptive(&plant, &hset, &weights).unwrap();
         (plant, table)
+    }
+
+    /// A hand-built 3-state dynamic output feedback on the PMSM, one mode
+    /// per interval of `hset`, no two alike: a general `(Ac, Bc, Cc, Dc)`,
+    /// neither PI nor the delayed LQR, whose lift
+    /// `n + s + 2r = 3 + 3 + 2·2 = 10` repeats no row.
+    fn pmsm_output_feedback(hset: &IntervalSet) -> ControllerTable {
+        let mode = |g: f64| {
+            let m = |rows: &[&[f64]]| Matrix::from_rows(rows).unwrap();
+            ControllerMode::new(
+                m(&[&[0.6, 0.1, 0.0], &[0.0, 0.5 * g, 0.1], &[0.05, 0.0, 0.4]]),
+                m(&[&[0.3, 0.0, 0.0], &[0.0, 0.4, 0.02], &[0.0, 0.1 * g, 0.3]]),
+                m(&[&[0.5, 0.1, 0.0], &[0.0, 0.6 * g, 0.2]]),
+                m(&[&[1.0, 0.0, 0.0], &[0.0, 1.2 * g, 0.01]]),
+            )
+            .unwrap()
+        };
+        let modes = (0..hset.len()).map(|i| mode(1.0 - 0.2 * i as f64));
+        ControllerTable::new(modes.collect(), hset.clone()).unwrap()
     }
 
     #[test]
@@ -891,11 +909,10 @@ mod tests {
     /// The runtime-dimension kernel runs the fixed kernels' loops in the
     /// same order: every cost and recorded value is bit-identical. Covers
     /// the lifts of PI (`D = 5`, nothing merged), the PMSM LQR (`D = 7`,
-    /// its `ũ` rows merged into `z̃`), the PMSM LQG (`D = 10` of 12, its
-    /// `ũ` rows merged into the `u_prev` part of `z̃`), two pendulums under
-    /// one LQR (`D = 12` of 14, the largest fixed kernel) and two PMSMs
-    /// under one LQR (`D = 14` of 18, which `run_core` steps on the runtime
-    /// arm).
+    /// its `ũ` rows merged into `z̃`), a hand-built 3-state output feedback
+    /// on the PMSM (`D = 10`, nothing merged), two pendulums under one LQR
+    /// (`D = 12` of 14, the largest fixed kernel) and two PMSMs under one
+    /// LQR (`D = 14` of 18, which `run_core` steps on the runtime arm).
     #[test]
     fn dynamic_kernel_matches_fixed_kernel_bitwise() {
         let (plant, table) = setup();
@@ -904,16 +921,14 @@ mod tests {
         let hset = IntervalSet::from_timing(t, 1.6 * t, 2).unwrap();
         let weights = scenarios::pmsm_table2_weights();
         let lqr = lqr::design_adaptive(&pmsm, &hset, &weights).unwrap();
-        let lqg_hset = IntervalSet::from_timing(t, 1.3 * t, 2).unwrap();
-        let noise = lqg::NoiseModel::isotropic(3, 3, 1e-3, 1e-2);
-        let lqg = lqg::design_adaptive(&pmsm, &lqg_hset, &weights, &noise).unwrap();
+        let dynamic = pmsm_output_feedback(&hset);
         let (pendulums, pendulum_lqr) = pendulum_pair();
         let pmsms = pair(&pmsm);
         let weights = lqr::LqrWeights::identity(6, 4, 3e-3);
         let pmsms_lqr = lqr::design_adaptive(&pmsms, &hset, &weights).unwrap();
-        // PI tracking a step, LQR regulating and LQG tracking on the PMSM,
-        // LQR tracking a step on the pendulum pair and regulating the PMSM
-        // pair.
+        // PI tracking a step, LQR regulating and the output feedback
+        // tracking on the PMSM, LQR tracking a step on the pendulum pair
+        // and regulating the PMSM pair.
         let step = SimScenario::step(2, Matrix::col_vec(&[1.0]));
         let regulation = SimScenario::regulation(Matrix::col_vec(&[1.0; 3]), 3);
         let mut reference = [0.0; 8];
@@ -923,7 +938,7 @@ mod tests {
             (7, ClosedLoopSim::new(&pmsm, &lqr).unwrap(), regulation),
             (
                 10,
-                ClosedLoopSim::new(&pmsm, &lqg).unwrap(),
+                ClosedLoopSim::new(&pmsm, &dynamic).unwrap(),
                 SimScenario::step(3, Matrix::col_vec(&[1.0, 0.0, 0.0])),
             ),
             (
@@ -1117,24 +1132,6 @@ mod tests {
             counts[0] > 0 && counts[1] > 0,
             "[diverged, bounded] {counts:?}"
         );
-    }
-
-    /// The PMSM LQG keeps its last command `u_prev` in its state, which
-    /// `ũ` repeats: its lift steps on 10 of 12 dimensions, bit for bit.
-    #[test]
-    fn lqg_simulates_deflated_bit_for_bit() {
-        let plant = plants::pmsm();
-        let hset = IntervalSet::from_timing(50e-6, 1.3 * 50e-6, 2).unwrap();
-        let noise = lqg::NoiseModel::isotropic(3, 3, 1e-3, 1e-2);
-        let weights = scenarios::pmsm_table2_weights();
-        let table = lqg::design_adaptive(&plant, &hset, &weights, &noise).unwrap();
-        let scenarios = [
-            SimScenario::regulation(Matrix::col_vec(&[1.0, -1.0, 0.5]), 3),
-            SimScenario::step(3, Matrix::col_vec(&[1.0, 0.0, 0.0])),
-        ];
-        let sequences = sorted_sequences(&hset, 2021);
-        let counts = assert_deflated_bit_for_bit(&plant, &table, 10, &scenarios, &sequences);
-        assert!(counts[1] > 0, "[diverged, bounded] {counts:?}");
     }
 
     /// The pendulum pair steps on 12 of 14 dimensions through

@@ -10,9 +10,7 @@
 //!   depth-first enumeration of all products up to a given length;
 //! * [`gripenberg`] — Gripenberg's branch-and-bound algorithm, which prunes
 //!   the product tree with a user-chosen gap `δ` and returns a certified
-//!   interval `[LB, UB]` with `UB − LB ≤ δ` on termination;
-//! * [`decide_stability`] — an early-exit wrapper answering the only
-//!   question the control designer cares about: is `ρ < 1`?
+//!   interval `[LB, UB]` with `UB − LB ≤ δ` on termination.
 //!
 //! All bounds are invariant under a common similarity transform; a cheap
 //! diagonal [`precondition`] based on joint balancing is applied internally
@@ -98,7 +96,7 @@ impl std::fmt::Display for JsrBounds {
     }
 }
 
-/// Verdict of the early-exit stability decision.
+/// Verdict of a stability certification: do the bounds separate from 1?
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StabilityVerdict {
     /// `ρ < 1` certified: every switching sequence converges.
@@ -119,28 +117,9 @@ impl std::fmt::Display for StabilityVerdict {
     }
 }
 
-/// Decides asymptotic stability of the switching system defined by `set`,
-/// using Gripenberg bounds with the budget in `opts`.
-///
-/// # Errors
-///
-/// Propagates numerical errors from the underlying eigenvalue and norm
-/// computations.
-pub fn decide_stability(set: &MatrixSet, opts: &GripenbergOptions) -> Result<StabilityVerdict> {
-    let bounds = gripenberg(set, opts)?;
-    if bounds.certifies_stable() {
-        Ok(StabilityVerdict::Stable)
-    } else if bounds.certifies_unstable() {
-        Ok(StabilityVerdict::Unstable)
-    } else {
-        Ok(StabilityVerdict::Unknown)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use overrun_linalg::Matrix;
 
     #[test]
     fn bounds_display_and_gap() {
@@ -152,20 +131,6 @@ mod tests {
         assert!(format!("{b}").contains("0.5"));
         assert!(b.certifies_stable());
         assert!(!b.certifies_unstable());
-    }
-
-    #[test]
-    fn decide_stability_stable_singleton() {
-        let set = MatrixSet::new(vec![Matrix::diag(&[0.5, 0.25])]).unwrap();
-        let verdict = decide_stability(&set, &GripenbergOptions::default()).unwrap();
-        assert_eq!(verdict, StabilityVerdict::Stable);
-    }
-
-    #[test]
-    fn decide_stability_unstable_singleton() {
-        let set = MatrixSet::new(vec![Matrix::diag(&[1.5, 0.25])]).unwrap();
-        let verdict = decide_stability(&set, &GripenbergOptions::default()).unwrap();
-        assert_eq!(verdict, StabilityVerdict::Unstable);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   real-matrix [`eigenvalues`] and the [`spectral_radius`],
 //! * the matrix exponential [`expm`] (Padé-13 scaling and squaring) and the
 //!   zero-order-hold pair [`expm_integral`] `(e^{Ah}, ∫₀ʰ e^{As} ds · B)`,
-//! * a discrete Lyapunov solver and the discrete algebraic Riccati equation
-//!   ([`solve_dare`]) via the structure-preserving doubling algorithm, plus
-//!   the LQR gain [`dlqr`] and steady-state Kalman gain [`dkalman`].
+//! * the discrete algebraic Riccati equation ([`solve_dare`]) via the
+//!   structure-preserving doubling algorithm, and the LQR gain
+//!   [`dlqr_solution`].
 //!
 //! # Example
 //!
@@ -41,7 +41,6 @@ mod cholesky;
 mod error;
 mod expm;
 mod lu;
-mod lyapunov;
 mod matrix;
 mod norms;
 pub mod optimize;
@@ -57,13 +56,12 @@ pub use cholesky::{
 pub use error::Error;
 pub use expm::{expm, expm_integral};
 pub use lu::Lu;
-pub use lyapunov::{is_schur_stable, solve_discrete_lyapunov, solve_discrete_lyapunov_direct};
 pub use matrix::Matrix;
 pub use norms::{
-    balance, cheap_spectral_bounds, norm_1, norm_2, norm_2_bracket, norm_fro, norm_inf,
-    spectral_radius_upper, CheapSpectralBounds,
+    balance, cheap_spectral_bounds, norm_1, norm_2, norm_fro, norm_inf, spectral_radius_upper,
+    CheapSpectralBounds,
 };
-pub use riccati::{dkalman, dkalman_solution, dlqr, dlqr_solution, solve_dare, DareSolution};
+pub use riccati::{dlqr_solution, solve_dare, DareSolution};
 pub use schur::{eigenvalues, hessenberg, spectral_radius, Eigenvalue};
 
 /// Convenience alias for `Result<T, overrun_linalg::Error>`.

@@ -548,49 +548,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Stacks `blocks` vertically (same column count).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidData`] on empty input or column-count mismatch.
-    pub fn vstack(blocks: &[&Matrix]) -> Result<Matrix> {
-        if blocks.is_empty() {
-            return Err(Error::InvalidData("vstack of zero blocks".into()));
-        }
-        let cols = blocks[0].cols;
-        if blocks.iter().any(|b| b.cols != cols) {
-            return Err(Error::InvalidData("vstack column mismatch".into()));
-        }
-        let rows = blocks.iter().map(|b| b.rows).sum();
-        let mut out = Matrix::zeros(rows, cols);
-        let mut r0 = 0;
-        for b in blocks {
-            out.set_block(r0, 0, b)?;
-            r0 += b.rows;
-        }
-        Ok(out)
-    }
-
-    /// Kronecker product `self ⊗ rhs`.
-    pub fn kron(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows * rhs.rows, self.cols * rhs.cols);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                let a_ij = self.data[i * self.cols + j];
-                if a_ij == 0.0 {
-                    continue;
-                }
-                for p in 0..rhs.rows {
-                    for q in 0..rhs.cols {
-                        out.data[(i * rhs.rows + p) * out.cols + (j * rhs.cols + q)] =
-                            a_ij * rhs.data[p * rhs.cols + q];
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Sum of the diagonal entries.
     ///
     /// # Panics
@@ -599,43 +556,6 @@ impl Matrix {
     pub fn trace(&self) -> f64 {
         assert!(self.is_square(), "trace of a non-square matrix");
         (0..self.rows).map(|i| self.data[i * self.cols + i]).sum()
-    }
-
-    /// Stacks the columns of the matrix into a single column vector
-    /// (the `vec(·)` operator).
-    pub fn vectorize(&self) -> Matrix {
-        let mut data = Vec::with_capacity(self.rows * self.cols);
-        for j in 0..self.cols {
-            for i in 0..self.rows {
-                data.push(self.data[i * self.cols + j]);
-            }
-        }
-        Matrix {
-            rows: self.rows * self.cols,
-            cols: 1,
-            data,
-        }
-    }
-
-    /// Inverse of `vec`: reshapes an `rc × 1` vector into `r × c`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidData`] if the vector length is not `r * c`.
-    pub fn from_vectorized(v: &Matrix, r: usize, c: usize) -> Result<Matrix> {
-        if v.cols != 1 || v.rows != r * c {
-            return Err(Error::InvalidData(format!(
-                "cannot reshape {}x{} into {r}x{c}",
-                v.rows, v.cols
-            )));
-        }
-        let mut out = Matrix::zeros(r, c);
-        for j in 0..c {
-            for i in 0..r {
-                out.data[i * c + j] = v.data[j * r + i];
-            }
-        }
-        Ok(out)
     }
 
     /// Symmetrises the matrix in place: `(A + Aᵀ) / 2`.
@@ -1030,31 +950,7 @@ mod tests {
         let b = Matrix::zeros(2, 1);
         let h = Matrix::hstack(&[&a, &b]).unwrap();
         assert_eq!(h.shape(), (2, 3));
-        let v = Matrix::vstack(&[&a, &Matrix::zeros(1, 2)]).unwrap();
-        assert_eq!(v.shape(), (3, 2));
         assert!(Matrix::hstack(&[&a, &Matrix::zeros(3, 1)]).is_err());
-        assert!(Matrix::vstack(&[&a, &Matrix::zeros(1, 3)]).is_err());
-    }
-
-    #[test]
-    fn kron_identity_is_block_diag() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let k = Matrix::identity(2).kron(&a);
-        assert_eq!(k.shape(), (4, 4));
-        assert_eq!(k[(0, 0)], 1.0);
-        assert_eq!(k[(2, 2)], 1.0);
-        assert_eq!(k[(0, 2)], 0.0);
-        assert_eq!(k[(3, 2)], 3.0);
-    }
-
-    #[test]
-    fn vectorize_roundtrip() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let v = a.vectorize();
-        // column-major stacking
-        assert_eq!(v.as_slice(), &[1.0, 3.0, 2.0, 4.0]);
-        let back = Matrix::from_vectorized(&v, 2, 2).unwrap();
-        assert_eq!(back, a);
     }
 
     #[test]

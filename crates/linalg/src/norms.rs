@@ -323,13 +323,6 @@ pub fn cheap_spectral_bounds(m: &Matrix) -> CheapSpectralBounds {
     }
 }
 
-/// Convenience wrapper: `(lower, upper)` bracket on the computed
-/// [`norm_2`]. See [`cheap_spectral_bounds`].
-pub fn norm_2_bracket(m: &Matrix) -> (f64, f64) {
-    let b = cheap_spectral_bounds(m);
-    (b.norm_lower, b.norm_upper)
-}
-
 /// Convenience wrapper: certified upper bound on the computed
 /// [`crate::spectral_radius`]. See [`cheap_spectral_bounds`].
 pub fn spectral_radius_upper(m: &Matrix) -> f64 {
@@ -518,9 +511,6 @@ mod tests {
                 "rho {rho} > bound {}",
                 b.radius_upper
             );
-            let (lo, hi) = norm_2_bracket(m);
-            assert_eq!(lo, b.norm_lower);
-            assert_eq!(hi, b.norm_upper);
             assert_eq!(spectral_radius_upper(m), b.radius_upper);
         }
     }

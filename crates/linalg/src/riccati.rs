@@ -1,4 +1,4 @@
-//! Discrete algebraic Riccati equation (DARE), LQR and Kalman gains.
+//! Discrete algebraic Riccati equation (DARE) and LQR gains.
 
 use crate::{Error, Matrix, Result};
 
@@ -142,7 +142,10 @@ fn dare_residual(a: &Matrix, b: &Matrix, q: &Matrix, r: &Matrix, x: &Matrix) -> 
 }
 
 /// Discrete-time LQR: returns the gain `K` minimising
-/// `Σ xᵀQx + uᵀRu` for `x[k+1] = A x[k] + B u[k]`, `u = −K x`.
+/// `Σ xᵀQx + uᵀRu` for `x[k+1] = A x[k] + B u[k]`, `u = −K x`, with the
+/// full [`DareSolution`] (whose `x` is the cost matrix `X`) so callers can
+/// surface solver diagnostics (doubling iterations, final residual)
+/// without re-solving.
 ///
 /// # Errors
 ///
@@ -152,31 +155,17 @@ fn dare_residual(a: &Matrix, b: &Matrix, q: &Matrix, r: &Matrix, x: &Matrix) -> 
 /// # Example
 ///
 /// ```
-/// use overrun_linalg::{dlqr, spectral_radius, Matrix};
+/// use overrun_linalg::{dlqr_solution, spectral_radius, Matrix};
 ///
 /// # fn main() -> Result<(), overrun_linalg::Error> {
 /// let a = Matrix::from_rows(&[&[1.0, 0.1], &[0.0, 1.0]])?;
 /// let b = Matrix::col_vec(&[0.005, 0.1]);
-/// let (k, _x) = dlqr(&a, &b, &Matrix::identity(2), &Matrix::identity(1))?;
+/// let (k, _sol) = dlqr_solution(&a, &b, &Matrix::identity(2), &Matrix::identity(1))?;
 /// let closed = &a - &b * &k;
 /// assert!(spectral_radius(&closed)? < 1.0);
 /// # Ok(())
 /// # }
 /// ```
-pub fn dlqr(a: &Matrix, b: &Matrix, q: &Matrix, r: &Matrix) -> Result<(Matrix, Matrix)> {
-    let (k, sol) = dlqr_solution(a, b, q, r)?;
-    Ok((k, sol.x))
-}
-
-/// Like [`dlqr`], but returning the full [`DareSolution`] alongside the
-/// gain so callers can surface solver diagnostics (doubling iterations,
-/// final residual) without re-solving. `dlqr(a, b, q, r)` is exactly
-/// `dlqr_solution(a, b, q, r)` with the solution reduced to `X` — the
-/// numerical path is shared, so the results are bit-identical.
-///
-/// # Errors
-///
-/// Same as [`dlqr`].
 pub fn dlqr_solution(
     a: &Matrix,
     b: &Matrix,
@@ -189,48 +178,6 @@ pub fn dlqr_solution(
     let btxa = b.transpose().matmul(&x.matmul(a)?)?;
     let k = r.add_mat(&btxb)?.solve(&btxa)?;
     Ok((k, sol))
-}
-
-/// Steady-state discrete Kalman gains for
-/// `x[k+1] = A x[k] + w`, `y[k] = C x[k] + v` with `cov(w) = W`,
-/// `cov(v) = V`.
-///
-/// Returns `(L, M, P)`:
-/// * `L = A P Cᵀ (C P Cᵀ + V)⁻¹` — predictor gain,
-/// * `M = P Cᵀ (C P Cᵀ + V)⁻¹` — filter (measurement-update) gain,
-/// * `P` — steady-state a-priori error covariance.
-///
-/// # Errors
-///
-/// Propagates [`solve_dare`] errors from the dual Riccati equation.
-pub fn dkalman(a: &Matrix, c: &Matrix, w: &Matrix, v: &Matrix) -> Result<(Matrix, Matrix, Matrix)> {
-    let (l, m, sol) = dkalman_solution(a, c, w, v)?;
-    Ok((l, m, sol.x))
-}
-
-/// Like [`dkalman`], but returning the full [`DareSolution`] of the dual
-/// Riccati equation (whose `x` is the steady-state covariance `P`) so
-/// callers can surface solver diagnostics. The numerical path is shared
-/// with [`dkalman`], so the gains are bit-identical.
-///
-/// # Errors
-///
-/// Same as [`dkalman`].
-pub fn dkalman_solution(
-    a: &Matrix,
-    c: &Matrix,
-    w: &Matrix,
-    v: &Matrix,
-) -> Result<(Matrix, Matrix, DareSolution)> {
-    // Dual: DARE with (Aᵀ, Cᵀ, W, V).
-    let sol = solve_dare(&a.transpose(), &c.transpose(), w, v)?;
-    let p = &sol.x;
-    let cpct = c.matmul(&p.matmul(&c.transpose())?)?;
-    let s = cpct.add_mat(v)?;
-    // M = P Cᵀ S⁻¹ computed as solving Sᵀ Mᵀ = C Pᵀ.
-    let m = s.transpose().solve(&c.matmul(&p.transpose())?)?.transpose();
-    let l = a.matmul(&m)?;
-    Ok((l, m, sol))
 }
 
 #[cfg(test)]
@@ -273,10 +220,10 @@ mod tests {
         let h = 0.1;
         let a = Matrix::from_rows(&[&[1.0, h], &[0.0, 1.0]])?;
         let b = Matrix::col_vec(&[h * h / 2.0, h]);
-        let (k, x) = dlqr(&a, &b, &Matrix::identity(2), &Matrix::identity(1))?;
+        let (k, sol) = dlqr_solution(&a, &b, &Matrix::identity(2), &Matrix::identity(1))?;
         let closed = &a - &b * &k;
         assert!(spectral_radius(&closed)? < 1.0);
-        assert!(crate::cholesky::is_spd(&x));
+        assert!(crate::cholesky::is_spd(&sol.x));
         Ok(())
     }
 
@@ -284,7 +231,7 @@ mod tests {
     fn dlqr_stabilizes_unstable_plant() -> TestResult {
         let a = Matrix::from_rows(&[&[1.2, 0.3], &[0.0, 1.5]])?;
         let b = Matrix::col_vec(&[0.0, 1.0]);
-        let (k, _) = dlqr(&a, &b, &Matrix::identity(2), &(Matrix::identity(1) * 0.1))?;
+        let (k, _) = dlqr_solution(&a, &b, &Matrix::identity(2), &(Matrix::identity(1) * 0.1))?;
         let closed = &a - &b * &k;
         assert!(spectral_radius(&closed)? < 1.0);
         Ok(())
@@ -303,35 +250,24 @@ mod tests {
 
     #[test]
     fn dare_cost_interpretation() -> TestResult {
-        // For u = -Kx the achieved cost xᵀX x must equal the Lyapunov
-        // accumulation of stage costs along the closed loop.
+        // For u = −Kx the achieved cost xᵀX x accumulates the stage costs
+        // along the closed loop: X solves the Lyapunov equation
+        // A_clᵀ X A_cl + Q + KᵀRK = X, whose solution is unique because
+        // A_cl is Schur stable.
         let a = Matrix::from_rows(&[&[1.0, 0.1], &[0.0, 1.0]])?;
         let b = Matrix::col_vec(&[0.005, 0.1]);
         let q = Matrix::identity(2);
         let r = Matrix::identity(1);
-        let (k, x) = dlqr(&a, &b, &q, &r)?;
-        let acl = &a - &b * &k;
+        let (k, sol) = dlqr_solution(&a, &b, &q, &r)?;
+        let (acl, x) = (&a - &b * &k, &sol.x);
+        assert!(spectral_radius(&acl)? < 1.0);
         let stage = &q + &k.transpose() * &r * &k;
-        let x_lyap = crate::solve_discrete_lyapunov(&acl, &stage)?;
-        assert!(x.approx_eq(&x_lyap, 1e-8, 1e-8));
-        Ok(())
-    }
-
-    #[test]
-    fn kalman_gains_consistent() -> TestResult {
-        let a = Matrix::from_rows(&[&[0.95, 0.1], &[0.0, 0.9]])?;
-        let c = Matrix::row_vec(&[1.0, 0.0]);
-        let w = Matrix::diag(&[0.01, 0.02]);
-        let v = Matrix::identity(1) * 0.1;
-        let (l, m, p) = dkalman(&a, &c, &w, &v)?;
-        // L = A M
-        assert!(l.approx_eq(&(&a * &m), 1e-12, 1e-12));
-        // P solves the filter Riccati equation: P = A P Aᵀ − L(CPCᵀ+V)Lᵀ + W
-        let s = &c * &p * c.transpose() + &v;
-        let res = &a * &p * a.transpose() - &l * &s * l.transpose() + &w - &p;
-        assert!(res.max_abs() < 1e-10, "residual {}", res.max_abs());
-        // Estimator A − LC must be stable.
-        assert!(spectral_radius(&(&a - &l * &c))? < 1.0);
+        let residual = acl.transpose() * x * &acl + stage - x;
+        assert!(
+            residual.max_abs() <= 1e-8,
+            "residual {}",
+            residual.max_abs()
+        );
         Ok(())
     }
 

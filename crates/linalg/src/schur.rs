@@ -34,11 +34,6 @@ impl Eigenvalue {
     pub fn modulus(&self) -> f64 {
         self.re.hypot(self.im)
     }
-
-    /// `true` if the imaginary part is exactly zero.
-    pub fn is_real(&self) -> bool {
-        self.im == 0.0
-    }
 }
 
 impl std::fmt::Display for Eigenvalue {

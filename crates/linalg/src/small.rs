@@ -2,8 +2,8 @@
 //!
 //! The JSR product-tree searches multiply millions of lifted closed-loop
 //! matrices `Ω(h)` (`ξ = [x; z̃; ũ; u]`, dimension `n + s + 2r`): 5 for the
-//! Table-I PI loop, 9 for the Table-II PMSM LQR and 12 for the PMSM LQG.
-//! Those up to `MAX_DIM` take the kernels here; the larger ones the generic
+//! Table-I PI loop and 9 for the Table-II PMSM LQR, 7 once deflated. Those
+//! up to `MAX_DIM` take the kernels here; the larger ones the generic
 //! path. For such sizes the generic row-major loops in [`crate::Matrix`]
 //! spend a measurable fraction of their time on slice bounds checks and
 //! loop-counter overhead. The kernels here are generic

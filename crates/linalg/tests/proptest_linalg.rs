@@ -1,8 +1,8 @@
 //! Property-based tests for the linear algebra kernels.
 
 use overrun_linalg::{
-    eigenvalues, expm, expm_integral, norm_1, norm_2, norm_fro, norm_inf, solve_discrete_lyapunov,
-    solve_discrete_lyapunov_direct, spectral_radius, Cholesky, Lu, Matrix,
+    eigenvalues, expm, expm_integral, norm_1, norm_2, norm_fro, norm_inf, spectral_radius,
+    Cholesky, Lu, Matrix,
 };
 use proptest::prelude::*;
 
@@ -15,18 +15,6 @@ fn square_matrix(n: usize, mag: f64) -> impl Strategy<Value = Matrix> {
 /// Strategy: a symmetric positive definite matrix built as `M Mᵀ + εI`.
 fn spd_matrix(n: usize) -> impl Strategy<Value = Matrix> {
     square_matrix(n, 2.0).prop_map(move |m| &m * &m.transpose() + Matrix::identity(n) * 0.5)
-}
-
-/// Strategy: a Schur-stable matrix (scaled so that ρ < 0.95).
-fn stable_matrix(n: usize) -> impl Strategy<Value = Matrix> {
-    square_matrix(n, 1.0).prop_filter_map("spectral radius computable", move |m| {
-        let rho = spectral_radius(&m).ok()?;
-        if rho < 1e-12 {
-            Some(m)
-        } else {
-            Some(m.scale(0.95 / rho.max(1.0)).scale(0.9))
-        }
-    })
 }
 
 proptest! {
@@ -106,17 +94,6 @@ proptest! {
     }
 
     #[test]
-    fn lyapunov_smith_matches_direct(a in stable_matrix(3)) {
-        let q = Matrix::identity(3);
-        let x1 = solve_discrete_lyapunov(&a, &q).unwrap();
-        let x2 = solve_discrete_lyapunov_direct(&a, &q).unwrap();
-        prop_assert!(x1.approx_eq(&x2, 1e-7 * x1.max_abs().max(1.0), 1e-7));
-        // residual check
-        let res = a.transpose() * &x1 * &a - &x1 + &q;
-        prop_assert!(res.max_abs() < 1e-8 * x1.max_abs().max(1.0));
-    }
-
-    #[test]
     fn norm_triangle_inequality(a in square_matrix(3, 4.0), b in square_matrix(3, 4.0)) {
         let sum = &a + &b;
         prop_assert!(norm_fro(&sum) <= norm_fro(&a) + norm_fro(&b) + 1e-12);
@@ -157,16 +134,6 @@ proptest! {
         let right = &a * (&b * &c);
         let scale = a.max_abs().max(1.0) * b.max_abs().max(1.0) * c.max_abs().max(1.0);
         prop_assert!(left.approx_eq(&right, 1e-10 * scale, 1e-10));
-    }
-
-    #[test]
-    fn kron_mixed_product(a in square_matrix(2, 2.0), b in square_matrix(2, 2.0),
-                          c in square_matrix(2, 2.0), d in square_matrix(2, 2.0)) {
-        // (A ⊗ B)(C ⊗ D) = (AC) ⊗ (BD)
-        let lhs = a.kron(&b) * c.kron(&d);
-        let rhs = (&a * &c).kron(&(&b * &d));
-        let scale = lhs.max_abs().max(1.0);
-        prop_assert!(lhs.approx_eq(&rhs, 1e-10 * scale, 1e-10));
     }
 }
 

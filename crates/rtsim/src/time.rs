@@ -105,21 +105,6 @@ impl Span {
             Some(self.0 / rhs.0)
         }
     }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: Span) -> Span {
-        Span(self.0.saturating_sub(rhs.0))
-    }
-
-    /// The smaller of two spans.
-    pub fn min(self, rhs: Span) -> Span {
-        Span(self.0.min(rhs.0))
-    }
-
-    /// The larger of two spans.
-    pub fn max(self, rhs: Span) -> Span {
-        Span(self.0.max(rhs.0))
-    }
 }
 
 impl Add<Span> for Time {
@@ -269,16 +254,6 @@ mod tests {
             None
         );
         assert_eq!(Span::from_millis(10).checked_div_exact(Span::ZERO), None);
-    }
-
-    #[test]
-    fn saturating_and_minmax() {
-        let a = Span::from_millis(3);
-        let b = Span::from_millis(5);
-        assert_eq!(a.saturating_sub(b), Span::ZERO);
-        assert_eq!(b.saturating_sub(a), Span::from_millis(2));
-        assert_eq!(a.min(b), a);
-        assert_eq!(a.max(b), b);
     }
 
     #[test]

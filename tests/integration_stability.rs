@@ -208,10 +208,31 @@ fn budget() -> CertifyOptions {
     }
 }
 
+/// A hand-built 2-state lead–lag on `hset`, one mode per interval: a
+/// leaky integrator `z₁` of the error over `h`, a low-pass `z₂` whose
+/// difference from the error is the lead term, and
+/// `u = (kp + kd)·e + ki·z₁ − kd·z₂`. A general `(Ac, Bc, Cc, Dc)` with
+/// `s = 2`, neither PI nor the delayed LQR.
+fn lead_lag(hset: &IntervalSet) -> ControllerTable {
+    let (ki, kd, kp) = (200.0, 60.0, 120.0);
+    let modes = hset.intervals().iter().map(|&h| {
+        let m = |rows: &[&[f64]]| Matrix::from_rows(rows).unwrap();
+        ControllerMode::new(
+            m(&[&[0.98, 0.0], &[0.0, 0.5]]),
+            m(&[&[h], &[0.5]]),
+            m(&[&[ki, -kd]]),
+            m(&[&[kp + kd]]),
+        )
+        .unwrap()
+    });
+    ControllerTable::new(modes.collect(), hset.clone()).unwrap()
+}
+
 /// The randomized differential grid: two named plants plus two seeded
 /// random draws at `T = 10 ms`, `Rmax = 1.3 T`, `Ts = T/2`, each under the
 /// adaptive PI design and under a zero static gain (open loop — certified
-/// unstable whenever the plant is).
+/// unstable whenever the plant is), and the unstable second-order plant
+/// under a hand-built lead–lag.
 fn differential_grid() -> Vec<Scenario> {
     let master = 0x5eed_2021_u64;
     let plants = [
@@ -222,7 +243,11 @@ fn differential_grid() -> Vec<Scenario> {
     ];
     let hset = IntervalSet::from_timing(0.010, 0.013, 2).unwrap();
     let zero_gain = ControllerMode::static_gain(Matrix::zeros(1, 1)).unwrap();
-    let mut grid = Vec::new();
+    let mut grid = vec![Scenario {
+        label: "uso lead-lag".into(),
+        plant: plants::unstable_second_order(),
+        table: lead_lag(&hset),
+    }];
     for (name, plant) in plants {
         // Random plants may admit no stabilising PI design — those draws
         // are simply not certifiable problems, so the grid drops them. The
@@ -241,7 +266,7 @@ fn differential_grid() -> Vec<Scenario> {
         });
     }
     assert!(
-        grid.len() >= 6,
+        grid.len() >= 7,
         "expected most of the grid to design, got {}",
         grid.len()
     );

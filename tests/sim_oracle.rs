@@ -10,7 +10,6 @@
 //! jobs, over random mode sequences, step and regulation scenarios, and
 //! both ends of the interval set as the virtual job's mode.
 
-use overrun_control::lqg::NoiseModel;
 use overrun_control::lqr::LqrWeights;
 use overrun_control::metrics::random_mode_sequence;
 use overrun_control::prelude::*;
@@ -240,17 +239,30 @@ fn lqr_small_plants() {
     }
 }
 
-/// Output-feedback LQG on the PMSM: an observer-based controller with
-/// `s = n + r`, lifted to `D = 12` and simulated on 10.
+/// A hand-built 3-state dynamic output feedback on the PMSM, one mode per
+/// interval, no two alike: a general `(Ac, Bc, Cc, Dc)` with `s = 3`,
+/// neither PI (`s = 1`, `Ac = I`) nor the delayed LQR (`Ac = Cc`,
+/// `Bc = Dc`), lifted to `D = 3 + 3 + 2·2 = 10` with no row to merge.
 #[test]
-fn lqg_pmsm() {
+fn output_feedback_pmsm() {
     let plant = plants::pmsm();
     let t = 50e-6;
     let hset = IntervalSet::from_timing(t, 1.3 * t, 2).unwrap();
-    let noise = NoiseModel::isotropic(3, 3, 1e-3, 1e-2);
-    let table = lqg::design_adaptive(&plant, &hset, &pmsm_table2_weights(), &noise).unwrap();
+    let mode = |g: f64| {
+        let m = |rows: &[&[f64]]| Matrix::from_rows(rows).unwrap();
+        ControllerMode::new(
+            m(&[&[0.6, 0.1, 0.0], &[0.0, 0.5 * g, 0.1], &[0.05, 0.0, 0.4]]),
+            m(&[&[0.3, 0.0, 0.0], &[0.0, 0.4, 0.02], &[0.0, 0.1 * g, 0.3]]),
+            m(&[&[0.5, 0.1, 0.0], &[0.0, 0.6 * g, 0.2]]),
+            m(&[&[1.0, 0.0, 0.0], &[0.0, 1.2 * g, 0.01]]),
+        )
+        .unwrap()
+    };
+    let modes = (0..hset.len()).map(|i| mode(1.0 - 0.2 * i as f64));
+    let table = ControllerTable::new(modes.collect(), hset).unwrap();
     let sc = scenarios(&plant, &table, &[1.0, -1.0, 0.5]);
-    check("lqg pmsm", &plant, &table, &sc, THRESHOLD);
+    let diverged = check("output feedback pmsm", &plant, &table, &sc, THRESHOLD);
+    assert_eq!(diverged, 0, "the output feedback stays bounded");
 }
 
 /// Two decoupled copies of `plant` (block-diagonal `A`, `B` and `C`).
