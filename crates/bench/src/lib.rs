@@ -12,7 +12,7 @@
 )]
 #![allow(
     clippy::disallowed_methods,
-    reason = "the experiment harness reads `BENCH_JSON` and constructs the trace wall clock"
+    reason = "the experiment harness constructs the trace wall clock"
 )]
 
 use std::path::PathBuf;
@@ -29,8 +29,8 @@ use std::path::PathBuf;
 ///   cores; results are bit-identical for any value),
 /// * `--out DIR` — directory for CSV output (default `bench_results`),
 /// * `--json PATH` — append a machine-readable summary record to `PATH`
-///   (JSON lines; the `BENCH_JSON` env var sets a default path; `-` writes
-///   the record to stdout and routes human-readable output to stderr),
+///   (JSON lines; `-` writes the record to stdout and routes
+///   human-readable output to stderr),
 /// * `--trace[=PATH]` — collect a structured trace of the run: JSONL
 ///   events go to `PATH` (default `<out_dir>/<bin>.trace.jsonl`) and a
 ///   span-tree summary to stderr; without it no trace sink is installed.
@@ -46,7 +46,7 @@ pub struct RunArgs {
     pub threads: Option<usize>,
     /// Output directory for CSV artifacts.
     pub out_dir: PathBuf,
-    /// Append-mode JSON-lines summary file (`--json` / `BENCH_JSON`).
+    /// Append-mode JSON-lines summary file (`--json`).
     pub json: Option<PathBuf>,
     /// Trace request: `None` = off, `Some(None)` = `--trace` (default
     /// path), `Some(Some(p))` = `--trace=p`.
@@ -120,19 +120,12 @@ impl RunArgs {
                 }
             }
         }
-        if out.json.is_none() {
-            if let Ok(p) = std::env::var("BENCH_JSON") {
-                if !p.is_empty() {
-                    out.json = Some(PathBuf::from(p));
-                }
-            }
-        }
         Ok(out)
     }
 
     /// Whether the machine-readable summary goes to stdout (`--json -`),
     /// in which case all human-readable output must go to stderr.
-    pub fn json_on_stdout(&self) -> bool {
+    fn json_on_stdout(&self) -> bool {
         self.json.as_deref() == Some(std::path::Path::new("-"))
     }
 
@@ -226,9 +219,8 @@ impl RunArgs {
         Ok(path)
     }
 
-    /// Appends one machine-readable summary record to the `--json` /
-    /// `BENCH_JSON` file, if one was requested (`-` prints the record to
-    /// stdout instead).
+    /// Appends one machine-readable summary record to the `--json` file,
+    /// if one was requested (`-` prints the record to stdout instead).
     ///
     /// # Errors
     ///
@@ -265,7 +257,7 @@ pub fn metrics(pairs: &[(&str, f64)]) -> Vec<(String, f64)> {
 /// `{"bin": ..., "threads": ..., "elapsed_ms": ..., "key_metrics": {...}}`.
 /// Non-finite metric values are emitted as `null` (JSON has no `inf`/`nan`).
 #[must_use]
-pub fn json_record(
+fn json_record(
     bin: &str,
     threads: usize,
     elapsed: std::time::Duration,

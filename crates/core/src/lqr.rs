@@ -46,25 +46,7 @@ impl LqrWeights {
 ///
 /// Returns [`Error::InvalidConfig`] for shape mismatches and propagates
 /// Riccati failures as [`Error::Design`].
-///
-/// # Example
-///
-/// ```
-/// use overrun_control::{lqr, plants};
-///
-/// # fn main() -> Result<(), overrun_control::Error> {
-/// let plant = plants::pmsm();
-/// let w = lqr::LqrWeights::identity(3, 2, 0.1);
-/// let mode = lqr::mode_for_interval(&plant, 50e-6, &w)?;
-/// assert_eq!(mode.state_dim(), 2); // holds the in-flight command
-/// # Ok(())
-/// # }
-/// ```
-pub fn mode_for_interval(
-    plant: &ContinuousSs,
-    h: f64,
-    weights: &LqrWeights,
-) -> Result<ControllerMode> {
+fn mode_for_interval(plant: &ContinuousSs, h: f64, weights: &LqrWeights) -> Result<ControllerMode> {
     let n = plant.state_dim();
     let r = plant.input_dim();
     if weights.q.shape() != (n, n) {
@@ -103,7 +85,6 @@ pub fn mode_for_interval(
     let (k_gain, sol) = dlqr_solution(&a_aug, &b_aug, &q_aug, &weights.r)
         .map_err(|e| Error::Design(format!("delayed LQR Riccati failed at h = {h}: {e}")))?;
     overrun_trace::counter!("lqr.riccati_iters", sol.iterations as u64);
-    overrun_trace::histogram!("lqr.riccati_residual", sol.residual);
     let kx = k_gain.submatrix(0, 0, r, n).map_err(Error::Linalg)?;
     let ku = k_gain.submatrix(0, n, r, r).map_err(Error::Linalg)?;
 
@@ -120,7 +101,8 @@ pub fn mode_for_interval(
 ///
 /// # Errors
 ///
-/// Propagates [`mode_for_interval`] failures.
+/// Returns [`Error::InvalidConfig`] when the weights do not match the
+/// plant, and [`Error::Design`] when an interval's Riccati solve fails.
 ///
 /// # Example
 ///
@@ -156,7 +138,7 @@ pub fn design_adaptive(
 ///
 /// # Errors
 ///
-/// Propagates [`mode_for_interval`] failures.
+/// As [`design_adaptive`], for the one interval `h_design`.
 pub fn design_fixed(
     plant: &ContinuousSs,
     hset: &IntervalSet,

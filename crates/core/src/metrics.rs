@@ -540,7 +540,6 @@ fn fold(summaries: &[CostSummary], jobs: usize) -> WorstCaseReport {
         overrun_trace::counter!("mc.sequences", chunk.len() as u64);
         overrun_trace::counter!("mc.jobs", (chunk.len() * jobs) as u64);
         overrun_trace::counter!("mc.divergence_exits", acc.diverged as u64);
-        overrun_trace::histogram!("mc.chunk_worst", acc.worst);
         total = total.merge(acc);
     }
     let completed = summaries.len() - total.diverged;

@@ -59,7 +59,7 @@ impl ExperimentConfig {
     }
 
     /// The worst-case evaluation options every experiment cell uses.
-    pub fn worst_case_options(&self) -> WorstCaseOptions {
+    fn worst_case_options(&self) -> WorstCaseOptions {
         WorstCaseOptions {
             num_sequences: self.num_sequences,
             jobs_per_sequence: self.jobs_per_sequence,

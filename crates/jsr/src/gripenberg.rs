@@ -163,9 +163,6 @@ pub fn gripenberg_with_stats(
         ellipsoid_bound = ell.norm_bound;
         ell_set = ell.transform(set)?;
         set = &ell_set;
-        // The one-step ellipsoid bound is the first certified upper bound
-        // of the run; the search below can only tighten it.
-        overrun_trace::progress!("jsr.ub", ellipsoid_bound);
     }
 
     let mut lb = 0.0_f64;
@@ -200,9 +197,6 @@ pub fn gripenberg_with_stats(
         products += 1;
     }
     let mut lb_depth = if lb > 0.0 { 1 } else { 0 };
-    if lb > 0.0 {
-        overrun_trace::progress!("jsr.lb", lb);
-    }
     // Prune depth-1 nodes that can already not beat lb + delta.
     frontier.retain(|n| n.sigma > lb + opts.delta);
 
@@ -322,7 +316,6 @@ pub fn gripenberg_with_stats(
         // only skip max-fold no-ops), so this provenance marker is too.
         if lb > lb_before {
             lb_depth = depth;
-            overrun_trace::progress!("jsr.lb", lb);
         }
     }
 
@@ -335,7 +328,6 @@ pub fn gripenberg_with_stats(
         lb + opts.delta
     };
     let upper = search_upper.min(ellipsoid_bound.max(lb));
-    overrun_trace::progress!("jsr.ub", upper);
     Ok((JsrBounds { lower: lb, upper }, counters.snapshot(lb_depth)))
 }
 

@@ -198,17 +198,6 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutably borrows row `i` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.rows()`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(i < self.rows, "row index {i} out of bounds");
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Copies column `j` into a new `Vec`.
     ///
     /// # Panics

@@ -29,11 +29,6 @@ impl Eigenvalue {
     pub fn new(re: f64, im: f64) -> Self {
         Eigenvalue { re, im }
     }
-
-    /// Modulus `|λ| = sqrt(re² + im²)`.
-    pub fn modulus(&self) -> f64 {
-        self.re.hypot(self.im)
-    }
 }
 
 impl std::fmt::Display for Eigenvalue {
@@ -250,7 +245,7 @@ pub fn eigenvalues(a: &Matrix) -> Result<Vec<Eigenvalue>> {
 /// Propagates the errors of [`eigenvalues`].
 pub fn spectral_radius(a: &Matrix) -> Result<f64> {
     with_eigenvalues(a, |eig| {
-        eig.iter().map(Eigenvalue::modulus).fold(0.0, f64::max)
+        eig.iter().map(|e| e.re.hypot(e.im)).fold(0.0, f64::max)
     })
 }
 
@@ -456,7 +451,7 @@ mod tests {
     type TestResult = std::result::Result<(), Error>;
 
     fn sorted_moduli(a: &Matrix) -> Result<Vec<f64>> {
-        let mut m: Vec<f64> = eigenvalues(a)?.iter().map(|e| e.modulus()).collect();
+        let mut m: Vec<f64> = eigenvalues(a)?.iter().map(|e| e.re.hypot(e.im)).collect();
         m.sort_by(f64::total_cmp);
         Ok(m)
     }
@@ -672,7 +667,7 @@ mod tests {
         );
         assert!(sum_im.abs() < 1e-8);
         // product of moduli equals |det|
-        let prod: f64 = eigs.iter().map(|e| e.modulus()).product();
+        let prod: f64 = eigs.iter().map(|e| e.re.hypot(e.im)).product();
         assert!((prod - a.det()?.abs()).abs() < 1e-6 * prod.max(1.0));
         Ok(())
     }
@@ -683,7 +678,7 @@ mod tests {
         let j = Matrix::from_rows(&[&[2.0, 1.0, 0.0], &[0.0, 2.0, 1.0], &[0.0, 0.0, 2.0]])?;
         let eigs = eigenvalues(&j)?;
         for e in &eigs {
-            assert!((e.modulus() - 2.0).abs() < 1e-4, "{eigs:?}");
+            assert!((e.re.hypot(e.im) - 2.0).abs() < 1e-4, "{eigs:?}");
         }
         Ok(())
     }

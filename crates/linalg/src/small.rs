@@ -39,7 +39,7 @@ fn rows<const N: usize>(data: &[f64]) -> &[[f64; N]] {
 // Index loops transliterate the generic path so the float operation order
 // (and thus every rounded bit) is provably the same.
 #[allow(clippy::needless_range_loop)]
-pub fn matmul_acc<const N: usize>(a: &[f64], b: &[f64], out: &mut [f64]) {
+fn matmul_acc<const N: usize>(a: &[f64], b: &[f64], out: &mut [f64]) {
     let (arows, brows) = (rows::<N>(a), rows::<N>(b));
     let orows = out[..N * N].as_chunks_mut::<N>().0;
     for i in 0..N {
@@ -68,7 +68,7 @@ pub fn matmul_acc<const N: usize>(a: &[f64], b: &[f64], out: &mut [f64]) {
 #[inline(always)]
 // See `matmul_acc`: index loops keep the generic float operation order.
 #[allow(clippy::needless_range_loop)]
-pub fn mul_vec_acc<const N: usize>(a: &[f64], x: &[f64], out: &mut [f64]) {
+fn mul_vec_acc<const N: usize>(a: &[f64], x: &[f64], out: &mut [f64]) {
     let xv = &x[..N].as_chunks::<N>().0[0];
     let arows = rows::<N>(a);
     for i in 0..N {
@@ -93,7 +93,7 @@ pub fn mul_vec_acc<const N: usize>(a: &[f64], x: &[f64], out: &mut [f64]) {
 ///
 /// Panics if `a` is shorter than `N * N`.
 #[inline(always)]
-pub fn fro_sumsq<const N: usize>(a: &[f64], scale: f64) -> f64 {
+fn fro_sumsq<const N: usize>(a: &[f64], scale: f64) -> f64 {
     let mut sum = 0.0_f64;
     for arow in rows::<N>(a) {
         for &x in arow {

@@ -1,15 +1,25 @@
 //! # overrun-trace — structured tracing for the overrun workspace
 //!
-//! Spans, monotonic counters, fixed-bucket histograms, and progress
-//! events for the long-running pipelines (Gripenberg certification,
-//! Monte Carlo cost evaluation, controller-table synthesis). Always
-//! compiled in; events are recorded only while a sink is installed.
+//! Spans and monotonic counters for the long-running pipelines
+//! (Gripenberg certification, Monte Carlo cost evaluation,
+//! controller-table synthesis). Always compiled in; events are recorded
+//! only while a sink is installed.
 //!
-//! ```ignore
-//! let _sp = overrun_trace::span!("jsr.depth", depth = d, frontier = frontier.len());
-//! overrun_trace::counter!("mc.sequences", chunk_len as u64);
-//! overrun_trace::histogram!("lqr.riccati_residual", residual);
-//! overrun_trace::progress!("jsr.lb", lb);
+//! ```
+//! use overrun_trace::{counter, span, NoopClock};
+//!
+//! assert!(overrun_trace::install(NoopClock));
+//! {
+//!     let _sp = span!("jsr.gripenberg", matrices = 2);
+//!     for depth in 1..=3u32 {
+//!         let _sp = span!("jsr.depth", depth = depth);
+//!         counter!("jsr.screen.nodes", 4);
+//!     }
+//! }
+//! let trace = overrun_trace::finish().unwrap();
+//! assert!(trace.is_balanced());
+//! assert_eq!(trace.span_tree()[0].children[0].calls, 3);
+//! assert_eq!(trace.counter_totals()["jsr.screen.nodes"], 12);
 //! ```
 //!
 //! Every macro expands to `if is_active() { … }`: with no sink installed a
@@ -54,12 +64,12 @@ mod report;
 mod sink;
 
 pub use clock::{Clock, MonotonicClock, NoopClock};
-pub use event::{Event, Hist, Name, HIST_BUCKETS};
+pub use event::{Event, Name};
 pub use report::{SpanBalance, SpanNode, Trace};
 pub use sink::{finish, flush_thread, install, is_active, SpanGuard};
 
 #[doc(hidden)]
-pub use sink::{__counter, __histogram, __progress, __span_open};
+pub use sink::{__counter, __span_open};
 
 /// Opens a span; dropping the returned guard closes it.
 ///
@@ -91,27 +101,6 @@ macro_rules! counter {
     };
 }
 
-/// Records one sample into the named log-scale histogram.
-#[macro_export]
-macro_rules! histogram {
-    ($name:literal, $value:expr $(,)?) => {
-        if $crate::is_active() {
-            $crate::__histogram($name, ($value) as f64)
-        }
-    };
-}
-
-/// Records a time-stamped progress observation (best bound so far,
-/// residual, ...) into the event stream.
-#[macro_export]
-macro_rules! progress {
-    ($name:literal, $value:expr $(,)?) => {
-        if $crate::is_active() {
-            $crate::__progress($name, ($value) as f64)
-        }
-    };
-}
-
 #[cfg(test)]
 mod macro_tests {
     #[test]
@@ -119,8 +108,6 @@ mod macro_tests {
         let n = 3usize;
         let _sp = crate::span!("test.span", items = n, fixed = 2.5);
         crate::counter!("test.counter", n as u64);
-        crate::histogram!("test.hist", 0.125);
-        crate::progress!("test.progress", 1.0 + n as f64);
     }
 
     #[test]
@@ -132,7 +119,5 @@ mod macro_tests {
         assert!(!crate::is_active());
         let _sp = crate::span!("test.span", v = boom());
         crate::counter!("test.counter", boom() as u64);
-        crate::histogram!("test.hist", boom());
-        crate::progress!("test.progress", boom());
     }
 }

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 
-use crate::event::{Event, Hist};
+use crate::event::Event;
 
 /// Everything one sink epoch recorded, in flush order.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -85,33 +85,12 @@ impl Trace {
         Ok(())
     }
 
-    /// The JSONL export as a single string.
-    pub fn to_jsonl_string(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.events {
-            out.push_str(&ev.to_jsonl());
-            out.push('\n');
-        }
-        out
-    }
-
     /// Sum of all counter deltas, per counter name.
     pub fn counter_totals(&self) -> BTreeMap<String, u64> {
         let mut totals = BTreeMap::new();
         for ev in &self.events {
             if let Event::Counter { name, delta } = ev {
-                *totals.entry(name.to_string()).or_insert(0u64) += delta;
-            }
-        }
-        totals
-    }
-
-    /// All histogram snapshots merged per name.
-    pub fn histogram_totals(&self) -> BTreeMap<String, Hist> {
-        let mut totals: BTreeMap<String, Hist> = BTreeMap::new();
-        for ev in &self.events {
-            if let Event::Hist { name, hist } = ev {
-                totals.entry(name.to_string()).or_default().merge(hist);
+                *totals.entry((*name).to_string()).or_insert(0u64) += delta;
             }
         }
         totals
@@ -136,7 +115,7 @@ impl Trace {
                         None => unmatched_closes += 1,
                     }
                 }
-                _ => {}
+                Event::Counter { .. } => {}
             }
         }
         let unmatched_opens = open_ids.values().filter(|&&closed| !closed).count();
@@ -170,12 +149,12 @@ impl Trace {
                     t_ns,
                     ..
                 } => {
-                    info.insert(*id, (name.as_ref(), *parent, *t_ns));
+                    info.insert(*id, (*name, *parent, *t_ns));
                 }
                 Event::SpanClose { id, t_ns } => {
                     close_at.insert(*id, *t_ns);
                 }
-                _ => {}
+                Event::Counter { .. } => {}
             }
         }
         let mut root = AggNode::default();
@@ -213,10 +192,8 @@ impl Trace {
             .collect()
     }
 
-    /// Renders the span tree, counters, and histograms as an aligned text
-    /// report. Progress events are not summarised: a run holds many
-    /// certifications, so a global "latest value" would match none of
-    /// them; they stay in the JSONL stream with their timestamps.
+    /// Renders the span tree and the counter totals as an aligned text
+    /// report.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let tree = self.span_tree();
@@ -234,20 +211,6 @@ impl Trace {
             out.push_str("counters:\n");
             for (name, total) in &counters {
                 out.push_str(&format!("  {name:<42} {total:>20}\n"));
-            }
-        }
-        let hists = self.histogram_totals();
-        if !hists.is_empty() {
-            out.push_str("histograms:\n");
-            for (name, hist) in &hists {
-                out.push_str(&format!(
-                    "  {:<42} n={} min={:.3e} mean={:.3e} max={:.3e}\n",
-                    name,
-                    hist.count,
-                    hist.min,
-                    hist.mean(),
-                    hist.max
-                ));
             }
         }
         if out.is_empty() {
@@ -311,13 +274,12 @@ fn fmt_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Name;
 
     fn open(id: u64, parent: u64, name: &'static str, t_ns: u64) -> Event {
         Event::SpanOpen {
             id,
             parent,
-            name: Name::Borrowed(name),
+            name,
             t_ns,
             fields: Vec::new(),
         }
@@ -335,22 +297,12 @@ mod tests {
             open(3, 1, "child", 50),
             close(3, 70),
             Event::Counter {
-                name: Name::Borrowed("c.x"),
+                name: "c.x",
                 delta: 5,
             },
             Event::Counter {
-                name: Name::Borrowed("c.x"),
+                name: "c.x",
                 delta: 7,
-            },
-            Event::Progress {
-                name: Name::Borrowed("p.lb"),
-                value: 1.5,
-                t_ns: 20,
-            },
-            Event::Progress {
-                name: Name::Borrowed("p.lb"),
-                value: 1.75,
-                t_ns: 60,
             },
             close(1, 100),
         ])
@@ -384,24 +336,18 @@ mod tests {
     }
 
     #[test]
-    fn totals_and_progress() {
+    fn counter_totals_sum_deltas() {
         let tr = sample_trace();
         assert_eq!(tr.counter_totals().get("c.x"), Some(&12));
-        let lb: Vec<(f64, u64)> = tr
-            .events
-            .iter()
-            .filter_map(|ev| match ev {
-                Event::Progress { name, value, t_ns } if name == "p.lb" => Some((*value, *t_ns)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(lb, [(1.5, 20), (1.75, 60)]);
+        assert_eq!(tr.counter_totals().len(), 1);
     }
 
     #[test]
     fn jsonl_string_round_trip_is_stable() {
+        let mut out = Vec::new();
+        sample_trace().write_jsonl(&mut out).unwrap();
         assert_eq!(
-            sample_trace().to_jsonl_string(),
+            String::from_utf8(out).unwrap(),
             r#"{"e":"open","id":1,"parent":0,"name":"root","t_ns":0,"fields":[]}
 {"e":"open","id":2,"parent":1,"name":"child","t_ns":10,"fields":[]}
 {"e":"close","id":2,"t_ns":40}
@@ -409,27 +355,28 @@ mod tests {
 {"e":"close","id":3,"t_ns":70}
 {"e":"counter","name":"c.x","delta":5}
 {"e":"counter","name":"c.x","delta":7}
-{"e":"progress","name":"p.lb","value":1.5,"t_ns":20}
-{"e":"progress","name":"p.lb","value":1.75,"t_ns":60}
 {"e":"close","id":1,"t_ns":100}
 "#
         );
     }
 
     #[test]
-    fn key_metrics_cover_spans_counters_progress() {
+    fn key_metrics_cover_spans_and_counters() {
         let metrics = sample_trace().key_metrics();
         let names: Vec<&str> = metrics.iter().map(|(n, _)| n.as_str()).collect();
-        // Progress events are in the stream but yield no key metric.
+        // Root spans only: `child` is folded into `root`'s total.
         assert_eq!(names, ["trace.span_ms.root", "trace.counter.c.x"]);
+        assert_eq!(metrics[0].1, 100.0 / 1e6);
+        assert_eq!(metrics[1].1, 12.0);
     }
 
     #[test]
     fn render_mentions_all_sections() {
         let text = sample_trace().render();
         assert!(text.contains("root"));
+        assert!(text.contains("child"));
         assert!(text.contains("counters:"));
-        assert!(!text.contains("progress"));
+        assert!(text.contains("c.x"));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! the sink off and returns everything collected as a [`Trace`].
 
 use crate::clock::Clock;
-use crate::event::{Event, Hist, Name};
+use crate::event::Event;
 use crate::report::Trace;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,7 +60,6 @@ struct LocalBuf {
     clock: Option<Arc<dyn Clock>>,
     events: Vec<Event>,
     stack: Vec<u64>,
-    hists: Vec<(&'static str, Hist)>,
 }
 
 impl LocalBuf {
@@ -70,7 +69,6 @@ impl LocalBuf {
             clock: None,
             events: Vec::new(),
             stack: Vec::new(),
-            hists: Vec::new(),
         }
     }
 
@@ -81,7 +79,6 @@ impl LocalBuf {
         if self.epoch != current {
             self.events.clear();
             self.stack.clear();
-            self.hists.clear();
             self.clock = lock_clock().clone();
             self.epoch = current;
         }
@@ -98,19 +95,10 @@ impl LocalBuf {
         if self.epoch != EPOCH.load(Ordering::Acquire) {
             // Stale epoch: the run these events belonged to is gone.
             self.events.clear();
-            self.hists.clear();
             return;
         }
-        if self.events.is_empty() && self.hists.is_empty() {
-            return;
-        }
-        let mut global = lock_global();
-        global.append(&mut self.events);
-        for (name, hist) in self.hists.drain(..) {
-            global.push(Event::Hist {
-                name: Name::Borrowed(name),
-                hist: Box::new(hist),
-            });
+        if !self.events.is_empty() {
+            lock_global().append(&mut self.events);
         }
     }
 
@@ -192,12 +180,9 @@ pub fn __span_open(name: &'static str, fields: &[(&'static str, f64)]) -> SpanGu
         buf.events.push(Event::SpanOpen {
             id,
             parent,
-            name: Name::Borrowed(name),
+            name,
             t_ns,
-            fields: fields
-                .iter()
-                .map(|&(k, v)| (Name::Borrowed(k), v))
-                .collect(),
+            fields: fields.to_vec(),
         });
         buf.stack.push(id);
         buf.maybe_flush();
@@ -238,47 +223,7 @@ pub fn __counter(name: &'static str, delta: u64) {
     let _ = TLS.try_with(|cell| {
         let mut buf = cell.borrow_mut();
         buf.sync();
-        buf.events.push(Event::Counter {
-            name: Name::Borrowed(name),
-            delta,
-        });
-        buf.maybe_flush();
-    });
-}
-
-#[doc(hidden)]
-pub fn __histogram(name: &'static str, value: f64) {
-    if !is_active() {
-        return;
-    }
-    let _ = TLS.try_with(|cell| {
-        let mut buf = cell.borrow_mut();
-        buf.sync();
-        match buf.hists.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, hist)) => hist.record(value),
-            None => {
-                let mut hist = Hist::new();
-                hist.record(value);
-                buf.hists.push((name, hist));
-            }
-        }
-    });
-}
-
-#[doc(hidden)]
-pub fn __progress(name: &'static str, value: f64) {
-    if !is_active() {
-        return;
-    }
-    let _ = TLS.try_with(|cell| {
-        let mut buf = cell.borrow_mut();
-        buf.sync();
-        let t_ns = buf.now();
-        buf.events.push(Event::Progress {
-            name: Name::Borrowed(name),
-            value,
-            t_ns,
-        });
+        buf.events.push(Event::Counter { name, delta });
         buf.maybe_flush();
     });
 }

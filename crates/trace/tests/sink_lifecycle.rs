@@ -4,7 +4,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use overrun_trace::{counter, histogram, progress, span, Event, NoopClock, Trace};
+use overrun_trace::{counter, span, Event, NoopClock, Trace};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -51,7 +51,6 @@ fn worker_thread_events_survive_via_flush() {
             std::thread::spawn(move || {
                 let _sp = span!("worker.chunk", worker = w);
                 counter!("worker.items", 10);
-                histogram!("worker.sample", 0.5 * (w + 1) as f64);
                 overrun_trace::flush_thread();
             })
         })
@@ -62,11 +61,20 @@ fn worker_thread_events_survive_via_flush() {
     let tr = finish_trace();
     assert!(tr.is_balanced());
     assert_eq!(tr.counter_totals().get("worker.items"), Some(&40));
-    let hists = tr.histogram_totals();
-    let sample = &hists["worker.sample"];
-    assert_eq!(sample.count, 4);
-    assert_eq!(sample.min, 0.5);
-    assert_eq!(sample.max, 2.0);
+    let tree = tr.span_tree();
+    assert_eq!(tree.len(), 1);
+    assert_eq!(tree[0].name, "worker.chunk");
+    assert_eq!(tree[0].calls, 4);
+    let mut workers: Vec<f64> = tr
+        .events
+        .iter()
+        .filter_map(|ev| match ev {
+            Event::SpanOpen { fields, .. } => Some(fields[0].1),
+            _ => None,
+        })
+        .collect();
+    workers.sort_by(f64::total_cmp);
+    assert_eq!(workers, [0.0, 1.0, 2.0, 3.0]);
 }
 
 #[test]
@@ -104,22 +112,24 @@ fn jsonl_export_round_trips_real_run() {
     assert!(overrun_trace::install(NoopClock));
     {
         let _sp = span!("export.root", n = 2);
-        progress!("export.bound", 0.75);
         counter!("export.count", 9);
-        histogram!("export.h", 1.0e-13);
     }
     let tr = finish_trace();
-    let text = tr.to_jsonl_string();
+    let mut out = Vec::new();
+    assert!(tr.write_jsonl(&mut out).is_ok());
+    let text = String::from_utf8(out).unwrap_or_default();
     assert_eq!(text.lines().count(), tr.events.len());
     assert!(tr.is_balanced());
     assert_eq!(tr.counter_totals().get("export.count"), Some(&9));
-    let progress: Vec<f64> = tr
+    let fields: Vec<&[(&str, f64)]> = tr
         .events
         .iter()
         .filter_map(|ev| match ev {
-            Event::Progress { name, value, .. } if name == "export.bound" => Some(*value),
+            Event::SpanOpen { name, fields, .. } if *name == "export.root" => {
+                Some(fields.as_slice())
+            }
             _ => None,
         })
         .collect();
-    assert_eq!(progress, [0.75]);
+    assert_eq!(fields, [&[("n", 2.0)][..]]);
 }

@@ -33,14 +33,23 @@ OVERRUN_THREADS=4 cargo test --release -q -p overrun-control --test screening_eq
 echo "==> trace counters thread-invariant at OVERRUN_THREADS=4"
 OVERRUN_THREADS=4 cargo test --release -q -p overrun-control --test trace_counters
 
-echo "==> --trace smoke on every experiment binary (default build): every JSONL line parses"
+echo "==> --trace smoke on every experiment binary (default build): every JSONL line"
+echo "    parses, is an open, close or counter event, and every open has one close"
 for bin in table1 table2 ts_tradeoff jsr_ablation figure1; do
   rm -f "bench_results/$bin.trace.jsonl"
   cargo run --release -q -p overrun-bench --bin "$bin" -- \
     --sequences 10 --jobs 10 --out bench_results --trace >/dev/null
   test -s "bench_results/$bin.trace.jsonl"
-  python3 -c 'import json,sys; [json.loads(l) for l in open(sys.argv[1])]' \
-    "bench_results/$bin.trace.jsonl"
+  python3 - "bench_results/$bin.trace.jsonl" <<'PY'
+import collections, json, sys
+events = [json.loads(line) for line in open(sys.argv[1])]
+kinds = collections.Counter(ev["e"] for ev in events)
+assert set(kinds) <= {"open", "close", "counter"}, f"unexpected event kinds: {kinds}"
+opens = collections.Counter(ev["id"] for ev in events if ev["e"] == "open")
+closes = collections.Counter(ev["id"] for ev in events if ev["e"] == "close")
+assert all(n == 1 for n in opens.values()), "a span id opened twice"
+assert opens == closes, f"unbalanced spans: {sorted((opens - closes) + (closes - opens))}"
+PY
 done
 
 echo "==> golden CSV data sections (refresh with UPDATE_GOLDEN=1 after intentional changes)"
@@ -50,8 +59,9 @@ echo "==> golden CSV data sections at OVERRUN_THREADS=4"
 OVERRUN_THREADS=4 cargo test --release -q -p overrun-bench --test golden_csv
 
 echo "==> bench JSON smoke (table1, reduced)"
-BENCH_JSON=bench_results/BENCH_results.json cargo run --release -q \
-  -p overrun-bench --bin table1 -- --sequences 20 --jobs 10 --out bench_results
+rm -f bench_results/BENCH_results.json
+cargo run --release -q -p overrun-bench --bin table1 -- \
+  --sequences 20 --jobs 10 --out bench_results --json bench_results/BENCH_results.json
 test -s bench_results/BENCH_results.json
 
 echo "==> perf ledger: last two committed rows per binary (reads BENCH_*.json only)"
