@@ -11,84 +11,38 @@
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
-#![allow(
-    clippy::disallowed_types,
-    clippy::disallowed_methods,
-    reason = "experiment binaries own argv and time their own runs"
-)]
 
-use overrun_bench::{metrics, run_header, RunArgs};
+use std::process::ExitCode;
+
+use overrun_bench::csv;
 use overrun_control::plants;
 use overrun_control::scenarios::{format_granularity, granularity_sweep_with};
 use overrun_control::stability;
 
-fn main() {
-    let args = match RunArgs::parse(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    };
-    let threads = args.apply_threads();
-    args.start_trace();
-    let plant = plants::unstable_second_order();
-    let (t, rmax_factor, ns_values) = (0.010, 1.6, [1u32, 2, 4, 5, 10]);
-    let cfg = args.experiment_config();
-    args.human(&format!(
-        "Ts trade-off — PI, T = 10 ms, Rmax = 1.6 T, {} sequences x {} jobs ({} threads)",
-        args.sequences, args.jobs, threads
-    ));
-    let started = std::time::Instant::now();
-    let rows = granularity_sweep_with(
-        &plant,
-        t,
-        rmax_factor,
-        &ns_values,
-        &cfg,
-        &stability::certify,
-    );
-    let rows = match rows {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("experiment failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let elapsed = started.elapsed();
-    args.human(&format_granularity(&rows));
-    args.human(&format!("elapsed: {elapsed:.1?}"));
-
-    let mut csv = run_header(threads, elapsed);
-    csv.push_str("ns,h_count,jsr_lb,jsr_ub,jw_adaptive,worst_idle_slack_s\n");
-    for r in &rows {
-        csv.push_str(&format!(
-            "{},{},{},{},{},{}\n",
-            r.ns, r.h_count, r.jsr.lower, r.jsr.upper, r.jw_adaptive, r.worst_idle_slack
+fn main() -> ExitCode {
+    overrun_bench::run("ts_tradeoff", |run| {
+        let args = &run.args;
+        let plant = plants::unstable_second_order();
+        let (t, rmax_factor, ns_values) = (0.010, 1.6, [1u32, 2, 4, 5, 10]);
+        run.human(&format!(
+            "Ts trade-off — PI, T = 10 ms, Rmax = 1.6 T, {} sequences x {} jobs ({} threads)",
+            args.sequences, args.jobs, run.threads
         ));
-    }
-    match args.write_artifact("ts_tradeoff.csv", &csv) {
-        Ok(path) => args.human(&format!("wrote {}", path.display())),
-        Err(e) => {
-            eprintln!("could not write CSV: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    let max_ub = rows
-        .iter()
-        .map(|r| r.jsr.upper)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let mut km = metrics(&[("rows", rows.len() as f64), ("max_jsr_ub", max_ub)]);
-    match args.finish_trace("ts_tradeoff") {
-        Ok(trace) => km.extend(trace),
-        Err(e) => {
-            eprintln!("could not write trace: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Err(e) = args.maybe_write_json("ts_tradeoff", threads, elapsed, &km) {
-        eprintln!("could not write JSON record: {e}");
-        std::process::exit(1);
-    }
+        let rows = granularity_sweep_with(
+            &plant,
+            t,
+            rmax_factor,
+            &ns_values,
+            &args.experiment_config(),
+            &stability::certify,
+        )?;
+        run.human(&format_granularity(&rows));
+        run.human(&format!("elapsed: {:.1?}", run.elapsed()));
+        run.write_csv("ts_tradeoff.csv", &csv::ts_tradeoff(&rows))?;
+        let max_ub = rows
+            .iter()
+            .map(|r| r.jsr.upper)
+            .fold(f64::NEG_INFINITY, f64::max);
+        Ok(vec![("rows", rows.len() as f64), ("max_jsr_ub", max_ub)])
+    })
 }

@@ -1,8 +1,13 @@
-//! Shared plumbing for the `overrun` benchmark harness.
+//! The driver of the `overrun` benchmark harness.
 //!
-//! The binaries in `src/bin/` regenerate every table and figure of the
-//! DATE 2021 paper (see `DESIGN.md` for the experiment index); this library
-//! holds the small amount of shared argument-parsing and output logic.
+//! Each binary in `src/bin/` regenerates one artifact of the DATE 2021
+//! paper (see `DESIGN.md` for the experiment index), and its `main` is one
+//! call to [`run`]. The driver owns the run's lifecycle: the command line
+//! ([`RunArgs`]), the worker count, the trace, the `--json` record and the
+//! exit status. The binary's closure computes its artifact, prints it
+//! through the [`Run`] context, writes its CSV with [`Run::write_csv`] and
+//! returns its key metrics. The CSV data of each paper table is formatted
+//! by one function in [`csv`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,11 +16,116 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 #![allow(
+    clippy::disallowed_types,
     clippy::disallowed_methods,
-    reason = "the experiment harness constructs the trace wall clock"
+    reason = "the experiment driver owns argv, the trace wall clock and the run timer"
 )]
 
-use std::path::PathBuf;
+pub mod csv;
+
+use std::error::Error;
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
+use std::time::{Duration, Instant};
+
+/// Runs one experiment binary and returns its exit status.
+///
+/// Parses `std::env::args` into [`RunArgs`] (a malformed flag prints
+/// `error: …` and exits 2), applies `--threads`, installs the trace sink
+/// under `--trace`, and times `body`. Then it writes the trace (the JSONL
+/// event log, and a span-tree summary on stderr) and appends or prints the
+/// `--json` record: `bin`, the worker count, the elapsed time, the body's
+/// key metrics and the trace's. An error from the body, or one writing the
+/// CSV, the trace or the record, prints `error: …` on stderr and exits 1;
+/// the trace is still written when the body fails.
+pub fn run<F>(bin: &str, body: F) -> ExitCode
+where
+    F: FnOnce(&Run) -> Result<Vec<(&'static str, f64)>, Box<dyn Error>>,
+{
+    let args = match RunArgs::parse(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            return ExitCode::from(2);
+        }
+    };
+    match drive(bin, args, body) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn drive<F>(bin: &str, args: RunArgs, body: F) -> Result<(), Box<dyn Error>>
+where
+    F: FnOnce(&Run) -> Result<Vec<(&'static str, f64)>, Box<dyn Error>>,
+{
+    overrun_par::set_thread_override(args.threads);
+    let threads = overrun_par::max_threads();
+    args.start_trace();
+    let run = Run {
+        args,
+        threads,
+        started: Instant::now(),
+    };
+    let outcome = body(&run);
+    let elapsed = run.elapsed();
+    let trace = run.args.finish_trace(bin);
+    let mut metrics: Vec<(String, f64)> = outcome?
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+    metrics.extend(trace?);
+    run.args.write_json(bin, threads, elapsed, &metrics)?;
+    Ok(())
+}
+
+/// The context an experiment body runs in.
+#[derive(Debug)]
+pub struct Run {
+    /// The parsed command line.
+    pub args: RunArgs,
+    /// Worker threads the run uses: `--threads`, else `OVERRUN_THREADS`,
+    /// else all cores (results are bit-identical for any value).
+    pub threads: usize,
+    started: Instant,
+}
+
+impl Run {
+    /// Wall-clock time since the body started.
+    #[must_use]
+    pub fn elapsed(&self) -> Duration {
+        self.started.elapsed()
+    }
+
+    /// Prints a human-readable line: to stdout normally, to stderr when
+    /// stdout is reserved for the machine-readable record (`--json -`).
+    pub fn human(&self, line: &str) {
+        if self.args.json_on_stdout() {
+            eprintln!("{line}");
+        } else {
+            println!("{line}");
+        }
+    }
+
+    /// Writes `<out_dir>/<name>`, creating the directory: the run header
+    /// `# threads=… elapsed_s=…`, then `data`. Reports the path it wrote.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures, naming the CSV's path.
+    pub fn write_csv(&self, name: &str, data: &str) -> std::io::Result<()> {
+        let path = self.args.out_dir.join(name);
+        let contents = run_header(self.threads, self.elapsed()) + data;
+        create_parent(&path)
+            .and_then(|()| std::fs::write(&path, contents))
+            .map_err(|e| with_path("CSV", e, &path))?;
+        self.human(&format!("wrote {}", path.display()));
+        Ok(())
+    }
+}
 
 /// Command-line options shared by the experiment binaries.
 ///
@@ -123,25 +233,26 @@ impl RunArgs {
         Ok(out)
     }
 
+    /// Builds the experiment configuration for the scenario drivers.
+    #[must_use]
+    pub fn experiment_config(&self) -> overrun_control::scenarios::ExperimentConfig {
+        overrun_control::scenarios::ExperimentConfig {
+            num_sequences: self.sequences,
+            jobs_per_sequence: self.jobs,
+            seed: self.seed,
+            ..Default::default()
+        }
+    }
+
     /// Whether the machine-readable summary goes to stdout (`--json -`),
     /// in which case all human-readable output must go to stderr.
     fn json_on_stdout(&self) -> bool {
-        self.json.as_deref() == Some(std::path::Path::new("-"))
-    }
-
-    /// Prints a human-readable line: to stdout normally, to stderr when
-    /// stdout is reserved for the machine-readable record (`--json -`).
-    pub fn human(&self, line: &str) {
-        if self.json_on_stdout() {
-            eprintln!("{line}");
-        } else {
-            println!("{line}");
-        }
+        self.json.as_deref() == Some(Path::new("-"))
     }
 
     /// Installs the global trace sink with a monotonic clock when the run
     /// requested `--trace`; otherwise no sink is installed.
-    pub fn start_trace(&self) {
+    fn start_trace(&self) {
         if self.trace.is_some() && !overrun_trace::install(overrun_trace::MonotonicClock::new()) {
             eprintln!("warning: trace sink already active; --trace ignored");
         }
@@ -150,14 +261,12 @@ impl RunArgs {
     /// Finishes the trace started by [`RunArgs::start_trace`]: writes the
     /// JSONL event log to `--trace=PATH` (default
     /// `<out_dir>/<bin>.trace.jsonl`), renders the span-tree summary to
-    /// stderr, and returns the trace's key metrics for the `--json`
-    /// summary record. Returns an empty vector when tracing is off.
+    /// stderr, and returns the trace's key metrics. Returns an empty
+    /// vector when tracing is off.
     ///
-    /// # Errors
-    ///
-    /// Propagates the failure to write the event log, prefixed with its
-    /// path (the summary is still rendered).
-    pub fn finish_trace(&self, bin: &str) -> std::io::Result<Vec<(String, f64)>> {
+    /// The summary is rendered even when the event log cannot be written,
+    /// in which case the error names the log's path.
+    fn finish_trace(&self, bin: &str) -> std::io::Result<Vec<(String, f64)>> {
         let Some(requested) = &self.trace else {
             return Ok(Vec::new());
         };
@@ -169,15 +278,14 @@ impl RunArgs {
             None => self.out_dir.join(format!("{bin}.trace.jsonl")),
         };
         let write = || -> std::io::Result<()> {
-            if let Some(dir) = path.parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir)?;
-                }
-            }
+            use std::io::Write;
+            create_parent(&path)?;
             let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
-            trace.write_jsonl(&mut f)
+            trace.write_jsonl(&mut f)?;
+            // Dropping the writer would discard the last write's error.
+            f.flush()
         };
-        let written = write().map_err(|e| with_path(e, &path));
+        let written = write().map_err(|e| with_path("trace", e, &path));
         if written.is_ok() {
             eprintln!(
                 "trace: wrote {} events to {}",
@@ -189,47 +297,14 @@ impl RunArgs {
         written.map(|()| trace.key_metrics())
     }
 
-    /// Builds the experiment configuration for the scenario drivers.
-    pub fn experiment_config(&self) -> overrun_control::scenarios::ExperimentConfig {
-        overrun_control::scenarios::ExperimentConfig {
-            num_sequences: self.sequences,
-            jobs_per_sequence: self.jobs,
-            seed: self.seed,
-            ..Default::default()
-        }
-    }
-
-    /// Installs the `--threads` override into the global worker pool and
-    /// returns the effective worker count the run will use.
-    pub fn apply_threads(&self) -> usize {
-        overrun_par::set_thread_override(self.threads);
-        overrun_par::max_threads()
-    }
-
-    /// Writes `contents` to `<out_dir>/<name>`, creating the directory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures, prefixed with the artifact's path.
-    pub fn write_artifact(&self, name: &str, contents: &str) -> std::io::Result<PathBuf> {
-        let path = self.out_dir.join(name);
-        std::fs::create_dir_all(&self.out_dir)
-            .and_then(|()| std::fs::write(&path, contents))
-            .map_err(|e| with_path(e, &path))?;
-        Ok(path)
-    }
-
     /// Appends one machine-readable summary record to the `--json` file,
     /// if one was requested (`-` prints the record to stdout instead).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the failure to write the requested record.
-    pub fn maybe_write_json(
+    /// A record that cannot be written is an error naming its path.
+    fn write_json(
         &self,
         bin: &str,
         threads: usize,
-        elapsed: std::time::Duration,
+        elapsed: Duration,
         key_metrics: &[(String, f64)],
     ) -> std::io::Result<()> {
         let Some(path) = &self.json else {
@@ -238,29 +313,28 @@ impl RunArgs {
         let record = json_record(bin, threads, elapsed, key_metrics);
         if self.json_on_stdout() {
             println!("{record}");
-            Ok(())
-        } else {
-            append_line(path, &record).map_err(|e| with_path(e, path))
+            return Ok(());
         }
+        let append = || -> std::io::Result<()> {
+            use std::io::Write;
+            create_parent(path)?;
+            let mut f = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)?;
+            writeln!(f, "{record}")
+        };
+        append().map_err(|e| with_path("JSON record", e, path))
     }
-}
-
-/// Builds an owned key-metric list from `(&str, f64)` pairs, ready to be
-/// extended with [`RunArgs::finish_trace`] output and passed to
-/// [`RunArgs::maybe_write_json`].
-#[must_use]
-pub fn metrics(pairs: &[(&str, f64)]) -> Vec<(String, f64)> {
-    pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect()
 }
 
 /// Formats one JSON-lines benchmark record:
 /// `{"bin": ..., "threads": ..., "elapsed_ms": ..., "key_metrics": {...}}`.
 /// Non-finite metric values are emitted as `null` (JSON has no `inf`/`nan`).
-#[must_use]
 fn json_record(
     bin: &str,
     threads: usize,
-    elapsed: std::time::Duration,
+    elapsed: Duration,
     key_metrics: &[(String, f64)],
 ) -> String {
     let mut metrics = String::new();
@@ -280,29 +354,25 @@ fn json_record(
     )
 }
 
-/// Prefixes an I/O error with the path it concerns.
-fn with_path(e: std::io::Error, path: &std::path::Path) -> std::io::Error {
-    std::io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+/// Prefixes an I/O error with what could not be written and its path.
+fn with_path(what: &str, e: std::io::Error, path: &Path) -> std::io::Error {
+    std::io::Error::new(
+        e.kind(),
+        format!("could not write {what} {}: {e}", path.display()),
+    )
 }
 
-fn append_line(path: &std::path::Path, line: &str) -> std::io::Result<()> {
-    use std::io::Write;
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
+/// Creates the directory `path` goes in, if it names one.
+fn create_parent(path: &Path) -> std::io::Result<()> {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => std::fs::create_dir_all(dir),
+        _ => Ok(()),
     }
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    writeln!(f, "{line}")
 }
 
 /// Formats the `#`-comment provenance header prepended to every CSV
 /// artifact: worker-thread count and wall-clock seconds of the run.
-#[must_use]
-pub fn run_header(threads: usize, elapsed: std::time::Duration) -> String {
+fn run_header(threads: usize, elapsed: Duration) -> String {
     format!(
         "# threads={threads} elapsed_s={:.3}\n",
         elapsed.as_secs_f64()
@@ -422,65 +492,13 @@ mod tests {
             "table2",
             4,
             std::time::Duration::from_millis(1234),
-            &metrics(&[("jsr_ub", 0.75), ("cost", f64::INFINITY)]),
+            &[("jsr_ub".into(), 0.75), ("cost".into(), f64::INFINITY)],
         );
         assert_eq!(
             r,
             "{\"bin\": \"table2\", \"threads\": 4, \"elapsed_ms\": 1234.000, \
              \"key_metrics\": {\"jsr_ub\": 0.75, \"cost\": null}}"
         );
-    }
-
-    #[test]
-    fn json_append_writes_lines() {
-        let dir = std::env::temp_dir().join(format!("overrun-bench-test-{}", std::process::id()));
-        let path = dir.join("out.json");
-        let _ = std::fs::remove_file(&path);
-        let args = RunArgs {
-            json: Some(path.clone()),
-            ..RunArgs::default()
-        };
-        let t = std::time::Duration::from_millis(10);
-        args.maybe_write_json("a", 1, t, &metrics(&[("x", 1.0)]))
-            .unwrap();
-        args.maybe_write_json("b", 2, t, &metrics(&[("y", 2.0)]))
-            .unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(body.lines().count(), 2);
-        assert!(body.lines().nth(1).unwrap().contains("\"bin\": \"b\""));
-        // A record that cannot be written is an error, not a warning:
-        // `out.json` is a regular file, so it cannot hold `x.json`.
-        let unwritable = RunArgs {
-            json: Some(path.join("x.json")),
-            ..RunArgs::default()
-        };
-        assert!(unwritable.maybe_write_json("c", 1, t, &[]).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn trace_that_cannot_be_written_is_an_error() {
-        let dir = std::env::temp_dir().join(format!("overrun-trace-test-{}", std::process::id()));
-        let path = dir.join("t.jsonl");
-        let traced = |path: &std::path::Path| {
-            let args = RunArgs {
-                trace: Some(Some(path.to_path_buf())),
-                ..RunArgs::default()
-            };
-            args.start_trace();
-            overrun_trace::counter!("test.events", 1);
-            args.finish_trace("test")
-        };
-        traced(&path).unwrap();
-        assert!(std::fs::metadata(&path).unwrap().len() > 0);
-        // `t.jsonl` is a regular file, so it cannot hold `x.jsonl`.
-        let unwritable = path.join("x.jsonl");
-        let err = traced(&unwritable).unwrap_err();
-        assert!(
-            err.to_string().contains(&*unwritable.to_string_lossy()),
-            "{err}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

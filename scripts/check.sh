@@ -16,6 +16,9 @@ cargo build --release
 echo "==> perfbench/Cargo.lock resolves unchanged (offline, locked; writes nothing)"
 cargo metadata --offline --locked --format-version 1 --manifest-path perfbench/Cargo.toml >/dev/null
 
+echo "==> perfbench compiles against the workspace crates (target dir outside perfbench/)"
+cargo check --offline --locked --quiet --manifest-path perfbench/Cargo.toml --target-dir target/perfbench-check
+
 echo "==> cargo test -q"
 cargo test -q
 

@@ -3,11 +3,12 @@
 //! Carlo columns of `ts_tradeoff.csv` are pinned byte-for-byte against
 //! checked-in snapshots in `tests/`.
 //!
-//! The snapshots deliberately exclude the bench binaries' `# run:` header
-//! comment (timestamp-free determinism); everything else — the column
-//! header and every formatted row — must match the smoke (`--quick`)
-//! configuration exactly. After an intentional pipeline change, refresh
-//! the snapshots with:
+//! Each test formats its rows with the function the bench binary writes
+//! them with (`overrun_bench::csv::{table1, table2, ts_tradeoff}` and
+//! `overrun_rtsim::trace_to_csv`), on the smoke (`--quick`) ensemble, so a
+//! snapshot is exactly the binary's CSV below its `# threads=… elapsed_s=…`
+//! run header, which the snapshots leave out (it holds timings). After an
+//! intentional pipeline change, refresh the snapshots with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p overrun-bench --test golden_csv
@@ -21,6 +22,7 @@
 use std::cell::RefCell;
 use std::path::PathBuf;
 
+use overrun_bench::csv;
 use overrun_control::plants;
 use overrun_control::scenarios::{
     granularity_sweep_with, pmsm_table2_weights, table1, table2, ExperimentConfig,
@@ -30,9 +32,7 @@ use overrun_jsr::StabilityVerdict;
 use overrun_linalg::Matrix;
 use overrun_rtsim::{trace_to_csv, OverrunPolicy, Span};
 
-/// The `--quick` smoke ensemble of the bench binaries — the CSV data these
-/// goldens pin is exactly what `table1 --quick` / `table2 --quick` write
-/// (minus the run-header comment).
+/// The `--quick` smoke ensemble of the bench binaries.
 fn quick_config() -> ExperimentConfig {
     ExperimentConfig {
         num_sequences: 500,
@@ -83,19 +83,30 @@ fn check_golden(name: &str, generated: &str) {
     );
 }
 
+/// The named columns of `csv`, in the given order, picked by header name.
+fn select_columns(csv: &str, names: &[&str]) -> String {
+    let mut lines = csv.lines();
+    let header: Vec<&str> = lines.next().expect("CSV header").split(',').collect();
+    let picks: Vec<usize> = names
+        .iter()
+        .map(|n| header.iter().position(|h| h == n).expect("column"))
+        .collect();
+    let mut out = names.join(",") + "\n";
+    for line in lines {
+        let cells: Vec<&str> = line.split(',').collect();
+        let picked: Vec<&str> = picks.iter().map(|&i| cells[i]).collect();
+        out.push_str(&picked.join(","));
+        out.push('\n');
+    }
+    out
+}
+
 /// Table I data rows (`table1 --quick`), pinned.
 #[test]
 fn table1_csv_matches_golden() {
     let plant = plants::unstable_second_order();
     let rows = table1(&plant, 0.010, &quick_config()).expect("table1");
-    let mut csv = String::from("rmax_factor,ns,jw_adaptive,jw_fixed_t,jw_fixed_rmax\n");
-    for r in &rows {
-        csv.push_str(&format!(
-            "{},{},{},{},{}\n",
-            r.rmax_factor, r.ns, r.jw_adaptive, r.jw_fixed_t, r.jw_fixed_rmax
-        ));
-    }
-    check_golden("table1.csv", &csv);
+    check_golden("table1.csv", &csv::table1(&rows));
 }
 
 /// Table II data rows (`table2 --quick`), pinned.
@@ -104,25 +115,7 @@ fn table2_csv_matches_golden() {
     let plant = plants::pmsm();
     let x0 = Matrix::col_vec(&[1.0, 1.0, 1.0]);
     let rows = table2(&plant, 50e-6, &pmsm_table2_weights(), &x0, &quick_config()).expect("table2");
-    let mut csv = String::from(
-        "rmax_factor,ns,jsr_lb,jsr_ub,cost_no_overruns,cost_adaptive,cost_fixed_t,cost_fixed_rmax,cost_fixed_period_rmax\n",
-    );
-    let opt = |v: &Option<f64>| v.map_or("unstable".to_string(), |c| c.to_string());
-    for r in &rows {
-        csv.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{}\n",
-            r.rmax_factor,
-            r.ns,
-            r.jsr_adaptive.lower,
-            r.jsr_adaptive.upper,
-            r.cost_no_overruns,
-            r.cost_adaptive,
-            opt(&r.cost_fixed_t),
-            opt(&r.cost_fixed_rmax),
-            r.cost_fixed_period_rmax
-        ));
-    }
-    check_golden("table2.csv", &csv);
+    check_golden("table2.csv", &csv::table2(&rows));
 }
 
 /// `ts_tradeoff --quick`'s Monte Carlo columns `(ns, h_count,
@@ -161,11 +154,10 @@ fn ts_tradeoff_csv_matches_golden() {
             r.jsr
         );
     }
-    let mut csv = String::from("ns,h_count,jw_adaptive\n");
-    for r in &rows {
-        csv.push_str(&format!("{},{},{}\n", r.ns, r.h_count, r.jw_adaptive));
-    }
-    check_golden("ts_tradeoff.csv", &csv);
+    check_golden(
+        "ts_tradeoff.csv",
+        &select_columns(&csv::ts_tradeoff(&rows), &["ns", "h_count", "jw_adaptive"]),
+    );
 }
 
 /// Figure 1 job trace (`figure1`), pinned: `Ns = 8`, job 2 overruns past
